@@ -2,10 +2,10 @@
 
 Ten seeded simulated participants per cell, with accuracy/latency
 driven by visual signals measured from the actual rendered artifacts
-(see repro.study and DESIGN.md §3).  Expected shape, as in the paper:
-the terrain wins on accuracy *and* time on every task and dataset, the
-gap widening on Task 2 (connectivity tracing) and Task 3 (correlation
-reading under occlusion).
+(see repro.study and the README's "Offline stand-ins").  Expected
+shape, as in the paper: the terrain wins on accuracy *and* time on
+every task and dataset, the gap widening on Task 2 (connectivity
+tracing) and Task 3 (correlation reading under occlusion).
 """
 
 from repro.study import format_table, run_task1, run_task2, run_task3

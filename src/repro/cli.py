@@ -39,6 +39,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -126,6 +127,41 @@ def _dist_arg(value: str):
     if workers < 0:
         raise argparse.ArgumentTypeError("worker count must be >= 0")
     return workers
+
+
+def _int_at_least(low: int):
+    """argparse type factory: an integer no smaller than ``low``."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+        if number < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {number}")
+        return number
+
+    return parse
+
+
+def _positive_float(value: str) -> float:
+    """argparse type: a finite float above zero."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}")
+    if not 0 < number < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return number
+
+
+def _add_render_size(parser, resolution: int, width: int, height: int) -> None:
+    """The terrain image flags shared by ``terrain`` and ``stream``."""
+    parser.add_argument(
+        "--resolution", type=_int_at_least(4), default=resolution
+    )
+    parser.add_argument("--width", type=_int_at_least(1), default=width)
+    parser.add_argument("--height", type=_int_at_least(1), default=height)
 
 
 def _pipeline(args) -> Pipeline:
@@ -852,10 +888,8 @@ def build_parser() -> argparse.ArgumentParser:
     terrain.add_argument("-o", "--output", default="terrain.png")
     terrain.add_argument("--azimuth", type=float, default=35.0)
     terrain.add_argument("--elevation", type=float, default=38.0)
-    terrain.add_argument("--zoom", type=float, default=1.0)
-    terrain.add_argument("--resolution", type=int, default=160)
-    terrain.add_argument("--width", type=int, default=640)
-    terrain.add_argument("--height", type=int, default=480)
+    terrain.add_argument("--zoom", type=_positive_float, default=1.0)
+    _add_render_size(terrain, resolution=160, width=640, height=480)
     terrain.set_defaults(func=_cmd_terrain)
 
     peaks = sub.add_parser("peaks", help="list highest disconnected peaks")
@@ -984,9 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rebuild-threshold", type=float, default=0.5,
         help="dirty-vertex fraction beyond which a full rebuild is used",
     )
-    stream.add_argument("--resolution", type=int, default=120)
-    stream.add_argument("--width", type=int, default=480)
-    stream.add_argument("--height", type=int, default=360)
+    _add_render_size(stream, resolution=120, width=480, height=360)
     stream.set_defaults(func=_cmd_stream)
 
     evolve = sub.add_parser(

@@ -3,7 +3,7 @@
 The paper evaluates on SNAP graphs (GrQc, Wikivote, Wikipedia, PPI,
 Cit-Patent, Amazon, Astro, DBLP).  Offline and at pure-Python scale we
 substitute seeded generators that preserve the *structural trait each
-experiment relies on* — see DESIGN.md §3 for the full substitution table.
+experiment relies on* — see the README's "Offline stand-ins" table.
 Stand-ins are scaled down but keep the relative size ordering (Wikipedia
 and Cit-Patent are by far the largest).
 

@@ -1,9 +1,10 @@
 """Seeded random-graph generators.
 
 These supply the synthetic stand-ins for the paper's SNAP datasets (see
-DESIGN.md §3) and the workloads for property-based tests and ablation
-benches.  Every generator is deterministic given ``seed`` and returns a
-:class:`~repro.graph.csr.CSRGraph` (plus planted metadata where noted).
+the README's "Offline stand-ins") and the workloads for property-based
+tests and ablation benches.  Every generator is deterministic given
+``seed`` and returns a :class:`~repro.graph.csr.CSRGraph` (plus planted
+metadata where noted).
 """
 
 from __future__ import annotations

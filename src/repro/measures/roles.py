@@ -3,9 +3,9 @@
 The paper's Fig 9 colours a community terrain by each vertex's *dominant
 role*, following the simultaneous communities-and-roles method of Ruan &
 Parthasarathy [33] with the four canonical roles of RolX [32].  We
-reproduce this with a transparent substitute (see DESIGN.md §3):
-per-vertex structural features are z-scored and projected onto four
-fixed role prototypes:
+reproduce this with a transparent substitute (see the README's
+"Offline stand-ins"): per-vertex structural features are z-scored and
+projected onto four fixed role prototypes:
 
 * **hub** — exceptionally high degree;
 * **dense community member** — high clustering and core number;

@@ -1,10 +1,11 @@
 """Visual-signal extraction for the simulated user study.
 
 The paper's Tables IV–VI come from ten human participants per task.
-Offline we substitute *simulated* participants (DESIGN.md §3): their
-accuracy and latency are functions of signals **measured from the same
-artifacts a human would look at** — the terrain layout geometry, the
-LaNet-vi shell structure, and the actual OpenOrd vertex positions.
+Offline we substitute *simulated* participants (the README's "Offline
+stand-ins"): their accuracy and latency are functions of signals
+**measured from the same artifacts a human would look at** — the
+terrain layout geometry, the LaNet-vi shell structure, and the actual
+OpenOrd vertex positions.
 Nothing is hard-coded per method: if a baseline renders the target
 saliently, the simulator will reward it.
 

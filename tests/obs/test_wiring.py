@@ -57,6 +57,32 @@ class TestPipelineSpans:
             assert stage in names, f"{stage} missing from {names}"
         assert "cache.get" in names and "cache.put" in names
 
+    def test_render_covers_mesh_render_and_encode(
+        self, ring, edge_list_file, tmp_path
+    ):
+        pipeline = Pipeline(
+            EdgeListSource(edge_list_file), "kcore", cache=ArtifactCache()
+        )
+        path = tmp_path / "t.png"
+        pipeline.render(path=path, resolution=32, width=64, height=48)
+        assert path.exists()
+        records = ring.snapshot()
+        by_name = {r["name"]: r for r in records}
+        for stage in ("stage.mesh", "stage.render", "stage.encode"):
+            assert stage in by_name, f"{stage} missing from {list(by_name)}"
+        assert by_name["stage.render"]["attrs"]["faces"] == 2 * 31 * 31
+        assert by_name["stage.encode"]["attrs"]["path"] == str(path)
+
+    def test_render_without_path_has_no_encode_span(
+        self, ring, edge_list_file
+    ):
+        Pipeline(
+            EdgeListSource(edge_list_file), "kcore", cache=ArtifactCache()
+        ).render(resolution=32, width=64, height=48)
+        names = {r["name"] for r in ring.snapshot()}
+        assert {"stage.mesh", "stage.render"} <= names
+        assert "stage.encode" not in names
+
     def test_cache_events_nest_under_their_stage(self, ring, edge_list_file):
         pipeline = Pipeline(
             EdgeListSource(edge_list_file), "kcore", cache=ArtifactCache()

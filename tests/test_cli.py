@@ -156,6 +156,31 @@ class TestTerrainCommand:
         with pytest.raises(SystemExit):
             main(["terrain"])
 
+    @pytest.mark.parametrize("command", ["terrain", "stream"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--width", "0", "--width: must be >= 1, got 0"),
+        ("--height", "-2", "--height: must be >= 1, got -2"),
+        ("--resolution", "1", "--resolution: must be >= 4, got 1"),
+        ("--resolution", "many", "--resolution: invalid int value"),
+    ])
+    def test_bad_render_size_is_usage_error(
+        self, edge_list_file, tmp_path, capsys, command, flag, value, message
+    ):
+        argv = [command, "--edge-list", edge_list_file, flag, value]
+        if command == "stream":
+            argv += ["--log", str(tmp_path / "unread.jsonl")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "near"])
+    def test_bad_zoom_is_usage_error(self, edge_list_file, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["terrain", "--edge-list", edge_list_file, "--zoom", value])
+        assert exc.value.code == 2
+        assert "argument --zoom" in capsys.readouterr().err
+
 
 class TestPeaksCommand:
     def test_lists_clique_core(self, edge_list_file, capsys):
