@@ -1,4 +1,5 @@
-"""JSON (de)serialization of scalar trees and super trees.
+"""JSON (de)serialization of scalar trees, super trees and the other
+cacheable pipeline artifacts (arrays, terrain tiles, CSR graphs).
 
 Building the tree for a huge graph can dominate an analysis session;
 persisting it lets the visualization side (or another process) reload
@@ -14,6 +15,7 @@ from typing import Union
 
 import numpy as np
 
+from ..graph.csr import CSRGraph
 from .scalar_tree import ScalarTree
 from .super_tree import SuperTree
 
@@ -28,6 +30,8 @@ __all__ = [
     "array_from_json",
     "tile_to_json",
     "tile_from_json",
+    "csr_to_json",
+    "csr_from_json",
     "artifact_to_json",
     "artifact_from_json",
 ]
@@ -52,7 +56,10 @@ def scalar_tree_to_json(tree: ScalarTree) -> str:
 
 def scalar_tree_from_json(text: str) -> ScalarTree:
     """Inverse of :func:`scalar_tree_to_json`."""
-    doc = json.loads(text)
+    return _scalar_tree_from_doc(json.loads(text))
+
+
+def _scalar_tree_from_doc(doc: dict) -> ScalarTree:
     _check(doc, "scalar_tree")
     return ScalarTree(
         np.array(doc["parent"], dtype=np.int64),
@@ -77,7 +84,10 @@ def super_tree_to_json(tree: SuperTree) -> str:
 
 def super_tree_from_json(text: str) -> SuperTree:
     """Inverse of :func:`super_tree_to_json`."""
-    doc = json.loads(text)
+    return _super_tree_from_doc(json.loads(text))
+
+
+def _super_tree_from_doc(doc: dict) -> SuperTree:
     _check(doc, "super_tree")
     return SuperTree(
         np.array(doc["scalars"], dtype=np.float64),
@@ -133,7 +143,10 @@ def array_to_json(arr: np.ndarray) -> str:
 
 def array_from_json(text: str) -> np.ndarray:
     """Inverse of :func:`array_to_json`."""
-    doc = json.loads(text)
+    return _array_from_doc(json.loads(text))
+
+
+def _array_from_doc(doc: dict) -> np.ndarray:
     if doc.get("format") != _ARRAY_FORMAT or doc.get("type") != "array":
         raise ValueError(f"not a {_ARRAY_FORMAT} array document")
     return np.array(doc["data"], dtype=np.dtype(doc["dtype"])).reshape(
@@ -166,9 +179,12 @@ def tile_to_json(tile) -> str:
 
 def tile_from_json(text: str):
     """Inverse of :func:`tile_to_json`."""
+    return _tile_from_doc(json.loads(text))
+
+
+def _tile_from_doc(doc: dict):
     from ..terrain.heightfield import Tile
 
-    doc = json.loads(text)
     if doc.get("format") != _ARRAY_FORMAT or doc.get("type") != "tile":
         raise ValueError(f"not a {_ARRAY_FORMAT} tile document")
     shape = tuple(doc["shape"])
@@ -181,8 +197,41 @@ def tile_from_json(text: str):
     )
 
 
+def csr_to_json(graph: CSRGraph) -> str:
+    """Serialize an unlabelled :class:`CSRGraph` (the cached source
+    stage).  Labels may be arbitrary Python objects, so a labelled graph
+    raises ``TypeError`` and stays memory-only."""
+    if graph.labels is not None:
+        raise TypeError("no serialized form for a labelled CSRGraph")
+    return json.dumps(
+        {
+            "format": _ARRAY_FORMAT,
+            "type": "csr",
+            "indptr": graph.indptr.tolist(),
+            "indices": graph.indices.tolist(),
+        }
+    )
+
+
+def csr_from_json(text: str) -> CSRGraph:
+    """Inverse of :func:`csr_to_json`.  Decodes through the
+    :class:`CSRGraph` constructor, so a document that breaks the CSR
+    invariants raises ``ValueError``."""
+    return _csr_from_doc(json.loads(text))
+
+
+def _csr_from_doc(doc: dict) -> CSRGraph:
+    if doc.get("format") != _ARRAY_FORMAT or doc.get("type") != "csr":
+        raise ValueError(f"not a {_ARRAY_FORMAT} csr document")
+    return CSRGraph(
+        np.array(doc["indptr"], dtype=np.int64),
+        np.array(doc["indices"], dtype=np.int64),
+    )
+
+
 def artifact_to_json(obj) -> str:
-    """Serialize any cacheable pipeline artifact (tree, array or tile).
+    """Serialize any cacheable pipeline artifact (tree, array, tile or
+    unlabelled CSR graph).
 
     Raises ``TypeError`` for objects with no stable on-disk form (e.g.
     terrain layouts), which the cache keeps in memory only.
@@ -199,22 +248,29 @@ def artifact_to_json(obj) -> str:
         return tile_to_json(obj)
     if isinstance(obj, np.ndarray):
         return array_to_json(obj)
+    if isinstance(obj, CSRGraph):
+        return csr_to_json(obj)
     raise TypeError(f"no serialized form for {type(obj).__name__}")
 
 
 def artifact_from_json(text: str):
-    """Inverse of :func:`artifact_to_json` (dispatch on document type)."""
+    """Inverse of :func:`artifact_to_json` (dispatch on document type;
+    the text is parsed once)."""
     doc = json.loads(text)
     kind = doc.get("type")
-    if kind == "super_tree":
-        return super_tree_from_json(text)
-    if kind == "scalar_tree":
-        return scalar_tree_from_json(text)
-    if kind == "array":
-        return array_from_json(text)
-    if kind == "tile":
-        return tile_from_json(text)
-    raise ValueError(f"unknown artifact document type {kind!r}")
+    decode = _DECODERS.get(kind)
+    if decode is None:
+        raise ValueError(f"unknown artifact document type {kind!r}")
+    return decode(doc)
+
+
+_DECODERS = {
+    "super_tree": _super_tree_from_doc,
+    "scalar_tree": _scalar_tree_from_doc,
+    "array": _array_from_doc,
+    "tile": _tile_from_doc,
+    "csr": _csr_from_doc,
+}
 
 
 def _check(doc: dict, expected: str) -> None:

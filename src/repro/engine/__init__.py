@@ -10,7 +10,7 @@ drivers:
     third-party code extends it with decorators.
 ``repro.engine.cache``
     :class:`ArtifactCache` — content-hash-keyed, in-memory + on-disk
-    store of stage artifacts (fields, trees, layouts).
+    store of stage artifacts (source graphs, fields, trees, layouts).
 ``repro.engine.pipeline``
     :class:`Pipeline` (static) and :class:`StreamingPipeline`
     (incremental tree stage over :mod:`repro.stream`), sharing sources,

@@ -11,9 +11,11 @@ Two tiers:
 * **memory** — every artifact, including ones with no on-disk form
   (terrain layouts);
 * **disk** (optional) — artifacts with a stable serialized form (trees,
-  numeric arrays and terrain tiles, via :mod:`repro.core.serialize`'s
-  artifact envelope) are written to ``<directory>/<key>.json`` so a
-  second process skips straight to render.
+  numeric arrays, terrain tiles and source graphs, via
+  :mod:`repro.core.serialize`'s artifact envelope) are written to
+  ``<directory>/<key>.json`` so a second process skips straight to
+  render.  A failed disk write (full disk, read-only directory) keeps
+  the memory copy and is counted in ``stats["write_errors"]``.
 
 The cache is safe for concurrent use: an ``RLock`` guards the memory
 tier (the server's request handlers, worker callbacks and benchmarks all
@@ -22,8 +24,8 @@ memory tier into an LRU so a long-running server cannot grow without
 bound.  CLI runs keep the default of unbounded memory — a one-shot build
 wants every stage hot.
 
-``stats`` counts hits/misses/evictions for tests and benchmark
-reporting.
+``stats`` counts hits/misses/evictions/corrupt entries/write errors
+for tests and benchmark reporting.
 """
 
 from __future__ import annotations
@@ -180,6 +182,7 @@ class ArtifactCache:
             "puts": 0,
             "evictions": 0,
             "corrupt": 0,
+            "write_errors": 0,
         }
 
     @classmethod
@@ -296,8 +299,20 @@ class ArtifactCache:
             tmp = self._path(key).with_suffix(
                 f".tmp{os.getpid()}.{threading.get_ident()}"
             )
-            tmp.write_text(text)
-            os.replace(tmp, self._path(key))
+            try:
+                tmp.write_text(text)
+                os.replace(tmp, self._path(key))
+            except OSError:
+                # Full disk, read-only directory: the build already
+                # succeeded and the memory tier holds it, so only the
+                # disk copy is lost.  Leave no temp file behind.
+                with self._lock:
+                    self.stats["write_errors"] += 1
+                try:
+                    tmp.unlink(missing_ok=True)
+                except OSError:
+                    pass
+                return value
             # Fault site `cache_corrupt`: truncate the envelope we just
             # wrote, simulating a writer killed mid-write — the next get
             # must treat it as a miss and rebuild.

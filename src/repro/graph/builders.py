@@ -51,24 +51,17 @@ def from_edge_array(
     if len(edges) and (edges.min() < 0 or edges.max() >= n_vertices):
         raise ValueError("edge endpoints outside 0..n_vertices-1")
 
-    # Canonicalise: drop loops, order endpoints, dedup.
+    # Drop loops, store both directions as one sortable key per arc,
+    # and dedup: sorted keys order arcs by source, then by neighbour.
     keep = edges[:, 0] != edges[:, 1]
-    edges = edges[keep]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    if len(lo):
-        canon = np.unique(lo * np.int64(n_vertices) + hi)
-        lo = canon // n_vertices
-        hi = canon % n_vertices
-
-    # Symmetrise and bucket by source.
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    u, v = edges[keep, 0], edges[keep, 1]
+    n = np.int64(n_vertices)
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    if len(keys):
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    src, dst = np.divmod(keys, n)
     indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
+    np.cumsum(np.bincount(src, minlength=n_vertices), out=indptr[1:])
     return CSRGraph(indptr, dst, labels=labels)
 
 

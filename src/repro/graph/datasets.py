@@ -172,31 +172,28 @@ def _large_mixed(
     k-truss hierarchies at large scale.
     """
     rng = np.random.default_rng(seed)
-    pairs = []
+    parts = []
     offset = 0
     anchors = []
     for i, (n, m, p_tri) in enumerate(blocks):
-        block = generators.powerlaw_cluster(n, m, p_tri, seed=seed + i)
-        pairs.extend(
-            (int(u) + offset, int(v) + offset) for u, v in block.edge_array()
+        parts.append(
+            generators._powerlaw_pairs(n, m, p_tri, seed=seed + i) + offset
         )
         anchors.append((offset, n))
         offset += n
+    links = []
     for size in clique_sizes:
-        members = range(offset, offset + size)
-        for a in members:
-            for b in members:
-                if a < b:
-                    pairs.append((a, b))
+        parts.append(np.column_stack(np.triu_indices(size, 1)) + offset)
         lo, n = anchors[int(rng.integers(0, len(anchors)))]
-        pairs.append((offset, lo + int(rng.integers(0, n))))
+        links.append((offset, lo + int(rng.integers(0, n))))
         offset += size
     for __ in range(join_edges):
         (lo_a, n_a), (lo_b, n_b) = rng.choice(anchors, size=2)
-        pairs.append(
+        links.append(
             (int(lo_a + rng.integers(0, n_a)), int(lo_b + rng.integers(0, n_b)))
         )
-    return from_edge_array(np.array(pairs, dtype=np.int64), n_vertices=offset)
+    parts.append(np.array(links, dtype=np.int64).reshape(-1, 2))
+    return from_edge_array(np.concatenate(parts), n_vertices=offset)
 
 
 def _make_wikipedia() -> Dataset:
@@ -270,16 +267,11 @@ def _make_astro() -> Dataset:
     comm_size = 1000
     attachments_per_side = 5
     parts = [
-        generators.powerlaw_cluster(comm_size, 5, 0.65, seed=17 + i)
+        generators._powerlaw_pairs(comm_size, 5, 0.65, seed=17 + i)
+        + i * comm_size
         for i in range(n_comm)
     ]
     rng = np.random.default_rng(99)
-    pairs = []
-    for i, part in enumerate(parts):
-        offset = i * comm_size
-        pairs.extend(
-            (int(u) + offset, int(v) + offset) for u, v in part.edge_array()
-        )
     n = n_comm * comm_size
     bridges = []
     bridge_id = n
@@ -291,12 +283,12 @@ def _make_astro() -> Dataset:
                     picks = rng.choice(
                         comm_size, size=attachments_per_side, replace=False
                     )
-                    for p in picks:
-                        pairs.append((comm * comm_size + int(p), bridge_id))
+                    parts.append(np.column_stack([
+                        comm * comm_size + picks,
+                        np.full(attachments_per_side, bridge_id),
+                    ]))
                 bridge_id += 1
-    graph = from_edge_array(
-        np.array(pairs, dtype=np.int64), n_vertices=bridge_id
-    )
+    graph = from_edge_array(np.concatenate(parts), n_vertices=bridge_id)
     return Dataset(
         name="astro",
         graph=graph,
@@ -386,6 +378,9 @@ def load(name: str) -> Dataset:
     Memoized per process (``functools.lru_cache`` keyed by name), so
     repeated loads from benchmarks, the CLI and stream replay share one
     generated instance; use :func:`clear_cache` to force regeneration.
+    Pipelines reach this only on a miss of their cached ``source``
+    stage (:class:`repro.engine.DatasetSource`), so with a warm
+    ``--cache-dir`` a new process never synthesizes the graph.
     """
     if name not in _REGISTRY:
         raise KeyError(

@@ -106,40 +106,55 @@ def powerlaw_cluster(n: int, m_per_node: int, p_triangle: float, seed: int = 0) 
     Wikipedia/Cit-Patent stand-ins (heavy-tailed degrees, many triangles,
     hence non-trivial k-core and k-truss structure).
     """
+    return from_edge_array(
+        _powerlaw_pairs(n, m_per_node, p_triangle, seed), n_vertices=n
+    )
+
+
+def _powerlaw_pairs(
+    n: int, m_per_node: int, p_triangle: float, seed: int
+) -> np.ndarray:
+    """The edges of :func:`powerlaw_cluster` as an ``(m, 2)`` array, in
+    the order they are added (no loops, no duplicates).
+
+    The hot loop of dataset synthesis, so the RNG methods are bound to
+    locals and the edge insert is inlined.  It must keep both the RNG
+    draw order and the set insertion order that ``list(adjacency[...])``
+    iterates in: the stand-in graphs are pinned byte for byte
+    (``tests/graph/test_synthesis_identity.py``).
+    """
     if n <= m_per_node:
         raise ValueError("n must exceed m_per_node")
     rng = np.random.default_rng(seed)
+    integers, random = rng.integers, rng.random
+    # Every edge appends both endpoints, so after the seed vertices
+    # this degree-weighted urn is also the flat edge list.
     repeated: List[int] = list(range(m_per_node))
+    append = repeated.append
     adjacency: List[set] = [set() for _ in range(n)]
-    pairs = []
-
-    def add_edge(u: int, v: int) -> bool:
-        if u == v or v in adjacency[u]:
-            return False
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-        pairs.append((u, v))
-        repeated.append(u)
-        repeated.append(v)
-        return True
-
+    max_guard = 20 * m_per_node
     for v in range(m_per_node, n):
-        target = int(repeated[rng.integers(0, len(repeated))])
+        mine = adjacency[v]
+        target = repeated[integers(0, len(repeated))]
         links = 0
         guard = 0
-        while links < m_per_node and guard < 20 * m_per_node:
+        while links < m_per_node and guard < max_guard:
             guard += 1
-            if add_edge(v, target):
+            if target != v and target not in mine:
+                mine.add(target)
+                adjacency[target].add(v)
+                append(v)
+                append(target)
                 links += 1
-            if links >= m_per_node:
-                break
-            if adjacency[target] and rng.random() < p_triangle:
-                candidates = list(adjacency[target])
-                nxt = int(candidates[rng.integers(0, len(candidates))])
+                if links >= m_per_node:
+                    break
+            nbrs = adjacency[target]
+            if nbrs and random() < p_triangle:
+                candidates = list(nbrs)
+                target = candidates[integers(0, len(candidates))]
             else:
-                nxt = int(repeated[rng.integers(0, len(repeated))])
-            target = nxt
-    return from_edge_array(np.array(pairs, dtype=np.int64), n_vertices=n)
+                target = repeated[integers(0, len(repeated))]
+    return np.array(repeated[m_per_node:], dtype=np.int64).reshape(-1, 2)
 
 
 def planted_partition(

@@ -154,14 +154,18 @@ class CostLedger:
         if self.path is None:
             return
         payload = {"version": 1, "host": self.host, "entries": self._entries}
+        tmp = self.path.with_name(self.path.name + f".tmp{os.getpid()}")
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = self.path.with_name(self.path.name + f".tmp{os.getpid()}")
             tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
             tmp.replace(self.path)
         except OSError:
-            # A read-only or vanished cache dir must never fail a build.
-            pass
+            # A read-only, full or vanished cache dir must never fail a
+            # build, nor leave a temp file behind.
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
 
     # -- recording / estimating ---------------------------------------
     def record(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ArtifactCache, EdgeListSource, Pipeline
-from repro.graph import from_edges
+from repro.graph import datasets, from_edges
 from repro.graph.io import write_edge_list
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
@@ -106,6 +106,37 @@ class TestPipelineSpans:
             if r["name"] == "cache.get" and r["attrs"].get("hit")
         ]
         assert hits
+
+    def test_synthesis_is_a_child_of_a_cold_source_stage(
+        self, ring, tmp_path
+    ):
+        datasets.clear_cache()
+        Pipeline.from_dataset(
+            "amazon", "kcore", cache=ArtifactCache(tmp_path)
+        ).graph
+        records = ring.snapshot()
+        source = next(r for r in records if r["name"] == "stage.source")
+        synth = next(r for r in records if r["name"] == "source.synthesize")
+        assert synth["parent"] == source["id"]
+        assert synth["attrs"]["dataset"] == "amazon"
+        assert source["attrs"]["built"] is True
+
+        # A warm process: the disk tier answers, nothing is synthesized.
+        datasets.clear_cache()
+        ring.clear()
+        Pipeline.from_dataset(
+            "amazon", "kcore", cache=ArtifactCache(tmp_path)
+        ).graph
+        records = ring.snapshot()
+        names = [r["name"] for r in records]
+        assert "source.synthesize" not in names
+        source = next(r for r in records if r["name"] == "stage.source")
+        assert "built" not in source["attrs"]
+        assert any(
+            r["name"] == "cache.get" and r["attrs"].get("hit")
+            and r["parent"] == source["id"]
+            for r in records
+        )
 
     def test_outputs_identical_enabled_vs_disabled(self, edge_list_file):
         trace.set_enabled(False)
