@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Diff two ``bench_all.py`` ledgers and gate on perf regressions.
 
-Compares per-bench wall times and kernel/dist speedup columns between a
+Compares per-bench wall times and kernel speedup columns between a
 baseline ledger (e.g. the committed ``BENCH_PR10.json``) and a fresh
 run, prints a per-metric delta table, and exits nonzero when any
 regression exceeds the tolerance:
@@ -14,9 +14,9 @@ regression exceeds the tolerance:
   and never fails the gate.
 
 Wall times are only comparable on the same machine, so ledgers carry a
-host fingerprint (``env.host`` — see ``repro.obs.costs``).  When the
-fingerprints differ (or either ledger predates them) the diff refuses
-with exit code 3 unless ``--allow-cross-host`` is passed.
+host fingerprint (``env.host`` — see ``bench_all.host_fingerprint``).
+When the fingerprints differ (or either ledger predates them) the diff
+refuses with exit code 3 unless ``--allow-cross-host`` is passed.
 
 Exit codes: 0 ok, 1 regression past tolerance, 2 usage/IO error,
 3 host-fingerprint mismatch.

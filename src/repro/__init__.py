@@ -65,14 +65,6 @@ Subpackages
     rasterization — equivalence-tested to produce the same arrays as
     the naive reference code, selected via ``repro --accel``, the
     ``REPRO_ACCEL`` environment variable or per call.
-``repro.dist``
-    Sharded, out-of-core pipeline execution: deterministic edge
-    partitioners with self-describing shard manifests, a streaming
-    scatter of on-disk edge lists under a bounded memory budget, and a
-    :class:`~repro.dist.executor.ShardedExecutor` whose merged scalar
-    trees are node-for-node identical to the single-process build.
-    Selected via ``--dist {auto,off,N}`` (``repro dist-build`` is the
-    dist-centric command).
 """
 
 from .core import (

@@ -113,22 +113,6 @@ def _cache(args) -> ArtifactCache:
     return ArtifactCache.from_env()
 
 
-def _dist_arg(value: str):
-    """argparse type for ``--dist``: 'auto', 'off', or a worker count."""
-    if value in ("auto", "off"):
-        return value
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {value!r} (choose 'auto', 'off', or a "
-            "worker count)"
-        )
-    if workers < 0:
-        raise argparse.ArgumentTypeError("worker count must be >= 0")
-    return workers
-
-
 def _int_at_least(low: int):
     """argparse type factory: an integer no smaller than ``low``."""
 
@@ -166,8 +150,7 @@ def _add_render_size(parser, resolution: int, width: int, height: int) -> None:
 
 def _pipeline(args) -> Pipeline:
     return Pipeline(
-        _source(args), args.measure, bins=args.bins, cache=_cache(args),
-        dist=getattr(args, "dist", None),
+        _source(args), args.measure, bins=args.bins, cache=_cache(args)
     )
 
 
@@ -191,12 +174,6 @@ def _add_common(
         help="persist pipeline artifacts here (default: $REPRO_CACHE_DIR "
              "if set, else in-memory only)",
     )
-    parser.add_argument(
-        "--dist", type=_dist_arg, default="off", metavar="{auto,off,N}",
-        help="sharded execution backend: 'auto' shards when the graph "
-             "and host justify it, N runs N process workers; results "
-             "are identical to single-process (default: off)",
-    )
     _add_accel(parser)
     _add_obs(parser)
     _add_resil(parser)
@@ -207,7 +184,7 @@ def _add_resil(parser: argparse.ArgumentParser) -> None:
         "--faults", default=None, metavar="SPEC",
         help="deterministic fault injection for chaos testing: "
              "'site:occurrences[:param]' rules joined by ';' (e.g. "
-             "'worker_kill:1;fragment_corrupt:1'); sites: "
+             "'worker_kill:1;cache_corrupt:1'); sites: "
              + ", ".join(resil_faults.SITES)
              + " (default: $REPRO_FAULTS if set, else off)",
     )
@@ -241,54 +218,40 @@ def _add_accel(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_terrain(args) -> int:
     pipeline = _pipeline(args)
-    try:
-        camera = Camera(
-            azimuth=args.azimuth, elevation=args.elevation,
-        ).zoomed(args.zoom)
-        pipeline.render(
-            path=args.output,
-            camera=camera,
-            resolution=args.resolution,
-            width=args.width, height=args.height,
-        )
-        print(f"terrain of {args.measure} -> {args.output} "
-              f"({pipeline.display_tree.n_nodes} super nodes)")
-    finally:
-        pipeline.close_dist()
+    camera = Camera(
+        azimuth=args.azimuth, elevation=args.elevation,
+    ).zoomed(args.zoom)
+    pipeline.render(
+        path=args.output,
+        camera=camera,
+        resolution=args.resolution,
+        width=args.width, height=args.height,
+    )
+    print(f"terrain of {args.measure} -> {args.output} "
+          f"({pipeline.display_tree.n_nodes} super nodes)")
     return 0
 
 
 def _cmd_peaks(args) -> int:
     pipeline = _pipeline(args)
-    try:
-        unit = "edges" if pipeline.display_tree.kind == "edge" else "vertices"
-        for i, peak in enumerate(pipeline.peaks(count=args.count)):
-            print(f"#{i + 1}: level {peak.alpha:g}, {peak.size} {unit}, "
-                  f"summit {peak.summit:g}")
-    finally:
-        pipeline.close_dist()
+    unit = "edges" if pipeline.display_tree.kind == "edge" else "vertices"
+    for i, peak in enumerate(pipeline.peaks(count=args.count)):
+        print(f"#{i + 1}: level {peak.alpha:g}, {peak.size} {unit}, "
+              f"summit {peak.summit:g}")
     return 0
 
 
 def _cmd_treemap(args) -> int:
     pipeline = _pipeline(args)
-    try:
-        pipeline.treemap(path=args.output, size=args.width)
-        print(f"treemap of {args.measure} -> {args.output}")
-    finally:
-        pipeline.close_dist()
+    pipeline.treemap(path=args.output, size=args.width)
+    print(f"treemap of {args.measure} -> {args.output}")
     return 0
 
 
 def _cmd_profile(args) -> int:
     pipeline = _pipeline(args)
-    try:
-        pipeline.profile(
-            path=args.output, width=args.width, height=args.height
-        )
-        print(f"profile of {args.measure} -> {args.output}")
-    finally:
-        pipeline.close_dist()
+    pipeline.profile(path=args.output, width=args.width, height=args.height)
+    print(f"profile of {args.measure} -> {args.output}")
     return 0
 
 
@@ -334,163 +297,17 @@ def _cmd_prof(args) -> int:
     return rc
 
 
-def _cmd_dist_build(args) -> int:
-    """Build a scalar tree through the sharded backend and report the
-    shard/merge summary — the scaling counterpart of ``terrain``.
-
-    Two modes share the executor:
-
-    * default — partition the in-memory graph (any vertex measure);
-    * ``--scatter-dir`` — stream ``--edge-list`` through the
-      out-of-core scatter first and build from the on-disk shards (for
-      shard-mergeable measures like ``degree`` the global CSR is never
-      materialized).
-    """
-    import json as json_mod
-    import time as time_mod
-
-    from .core.serialize import save_tree
-    from .engine.pipeline import STAGE_BUILD_SECONDS
-    from .dist import (
-        DistPlan,
-        ShardedExecutor,
-        choose_partitioner,
-        resilient_scatter,
-        usable_cpus,
-    )
-    from .engine.cache import fingerprint_array
-    from .graph.io import read_edge_list
-
-    # --measure is parse-time validated to a vertex measure.
-    # dist-build always shards (that is the command); --dist only sizes
-    # the pool.  0 = in-process threads, 'auto'/'off' = size to the host.
-    if isinstance(args.dist, int):
-        workers = args.dist
-    else:
-        workers = min(4, usable_cpus()) if usable_cpus() >= 2 else 0
-    cache = _cache(args)
-
-    t0 = time_mod.perf_counter()
-    if args.scatter_dir:
-        if not args.edge_list:
-            raise SystemExit("--scatter-dir needs --edge-list (the "
-                             "on-disk edge list to stream)")
-        if not Path(args.edge_list).exists():
-            raise SystemExit(f"edge list not found: {args.edge_list}")
-        if args.partitioner == "auto":
-            # The cost model scores in-memory partitions; a streaming
-            # scatter picks the one scheme that needs no pre-pass.
-            method = "hash"
-            print("--partitioner auto: scatter mode uses 'hash' "
-                  "(stateless, single-pass); pass an explicit "
-                  "partitioner to override")
-        else:
-            method = args.partitioner
-        n_shards = args.shards or max(2, workers)
-        # Resilient scatter: fragments are sha256-verified on reload,
-        # bad ones quarantined and the scatter re-run (bounded retries).
-        scatter, shards = resilient_scatter(
-            args.edge_list, n_shards, args.scatter_dir,
-            method=method,
-            chunk_edges=args.chunk_edges,
-            max_buffer_bytes=args.max_buffer_mb * (1 << 20),
-        )
-        print(
-            f"scattered {scatter.stats['n_edges']} edges into "
-            f"{n_shards} {method} shards (peak buffer "
-            f"{scatter.stats['peak_buffered_bytes']} B, limit "
-            f"{scatter.stats['buffer_limit_bytes']} B)"
-        )
-        executor = ShardedExecutor(workers=workers)
-        try:
-            scalars = executor.merged_field(args.measure, shards)
-            graph = None
-            if scalars is None:
-                graph = read_edge_list(args.edge_list)
-                scalars = registry.compute(args.measure, graph)
-            tree = executor.build_tree(
-                scalars, shards, cache=cache,
-                scalars_fingerprint=fingerprint_array(scalars),
-            )
-            summary = executor.stats["last_build"]
-            if args.verify:
-                if graph is None:
-                    graph = read_edge_list(args.edge_list)
-                _verify_dist(tree, graph, scalars)
-        finally:
-            executor.shutdown()
-    else:
-        pipeline = Pipeline(_source(args), args.measure, cache=cache)
-        try:
-            n_shards = args.shards or max(2, workers)
-            method = (
-                choose_partitioner(pipeline.graph, n_shards)
-                if args.partitioner == "auto"
-                else args.partitioner
-            )
-            pipeline.dist = DistPlan(
-                partitioner=method, n_shards=n_shards, workers=workers,
-                reason=f"dist-build --dist {args.dist}",
-            )
-            tree = pipeline.tree
-            stats = pipeline.dist_stats() or {}
-            summary = (stats.get("executor") or {}).get("last_build")
-            if summary is None:
-                summary = dict(
-                    stats.get("plan", {}),
-                    note="tree served from cache (no shard work ran)",
-                )
-            if args.verify:
-                _verify_dist(tree, pipeline.graph, pipeline.field.scalars)
-        finally:
-            pipeline.close_dist()
-    seconds = time_mod.perf_counter() - t0
-    # Same number the print below reports, mirrored into the global
-    # registry so --metrics and /metrics tell the same story.
-    STAGE_BUILD_SECONDS.observe(seconds, stage="dist_build")
-
-    print(f"dist-build {args.measure}: {tree.n_nodes} nodes, "
-          f"{len(tree.roots)} roots in {seconds:.2f}s")
-    print(json_mod.dumps(summary, indent=2, sort_keys=True))
-    if args.verify:
-        print("verify: sharded tree identical to single-process build")
-    if args.output:
-        save_tree(tree, args.output)
-        print(f"tree -> {args.output}")
-    return 0
-
-
-def _verify_dist(tree, graph, scalars) -> None:
-    """Assert the sharded tree equals the single-process build."""
-    from .core import ScalarGraph, build_vertex_tree
-
-    ref = build_vertex_tree(ScalarGraph(graph, scalars))
-    if not (
-        np.array_equal(tree.parent, ref.parent)
-        and np.array_equal(tree.scalars, ref.scalars)
-    ):
-        raise SystemExit(
-            "verify FAILED: sharded tree differs from the "
-            "single-process build"
-        )
-
-
 def _cmd_correlate(args) -> int:
-    pipeline = Pipeline(
-        _source(args), args.field_i, cache=_cache(args), dist=args.dist,
-    )
-    try:
-        field_i = pipeline.measure_field(args.field_i)
-        field_j = pipeline.measure_field(args.field_j)
-        gci = global_correlation_index(pipeline.graph, field_i, field_j)
-        print(f"GCI({args.field_i}, {args.field_j}) = {gci:.4f}")
-        scores = outlier_score(pipeline.graph, field_i, field_j)
-        top = np.argsort(-scores)[: args.count]
-        print("top outlier vertices (most locally anti-correlated):")
-        for v in top:
-            print(f"  vertex {int(v)}: outlier_score {scores[v]:.3f}")
-    finally:
-        pipeline.close_dist()
+    pipeline = Pipeline(_source(args), args.field_i, cache=_cache(args))
+    field_i = pipeline.measure_field(args.field_i)
+    field_j = pipeline.measure_field(args.field_j)
+    gci = global_correlation_index(pipeline.graph, field_i, field_j)
+    print(f"GCI({args.field_i}, {args.field_j}) = {gci:.4f}")
+    scores = outlier_score(pipeline.graph, field_i, field_j)
+    top = np.argsort(-scores)[: args.count]
+    print("top outlier vertices (most locally anti-correlated):")
+    for v in top:
+        print(f"  vertex {int(v)}: outlier_score {scores[v]:.3f}")
     return 0
 
 
@@ -498,11 +315,6 @@ def _cmd_stream(args) -> int:
     # Cheap flag/log validation first — measure + tree construction on
     # a large dataset can take minutes.  (--measure itself is already
     # validated at parse time against the registry's vertex measures.)
-    if getattr(args, "dist", "off") not in ("off", 0):
-        raise SystemExit(
-            "--dist is not supported for streaming replay (the tree "
-            "stage is maintained incrementally, not rebuilt per batch)"
-        )
     if args.window is not None and args.window <= 0:
         raise SystemExit("--window must be a positive horizon")
     if args.frame_every < 1:
@@ -727,7 +539,6 @@ def _cmd_serve(args) -> int:
         tile_size=args.tile_size,
         levels=args.levels,
         bins=args.bins,
-        dist=None if args.dist in ("off", 0) else args.dist,
         max_disk_bytes=(
             None if args.cache_disk_mb is None
             else args.cache_disk_mb * (1 << 20)
@@ -852,7 +663,7 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         print("repro serve: shutting down")
     finally:
-        runner.shutdown()
+        app.close()
     return 0
 
 
@@ -935,55 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the command to profile, after an optional '--'",
     )
     prof.set_defaults(func=_cmd_prof)
-
-    dist_build = sub.add_parser(
-        "dist-build",
-        help="build a scalar tree via the sharded backend, print the "
-             "shard/merge summary",
-        description=(
-            "Shard the edge set, reduce each shard's merge forest in a "
-            "worker, and merge into a tree identical to the "
-            "single-process build.  With --scatter-dir the edge list "
-            "is streamed from disk into per-shard fragments first "
-            "(bounded memory; shard-mergeable measures like 'degree' "
-            "never materialize the global graph)."
-        ),
-    )
-    _add_common(dist_build, measure_type=_vertex_measure_arg)
-    dist_build.add_argument(
-        "--partitioner", default="auto",
-        choices=("auto", "hash", "range", "degree"),
-        help="edge partitioner; 'auto' lets the cost model score all "
-             "three in-memory, and falls back to 'hash' in "
-             "--scatter-dir mode (default: %(default)s)",
-    )
-    dist_build.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count override (default: from the dist plan)",
-    )
-    dist_build.add_argument(
-        "--scatter-dir", default=None, metavar="DIR",
-        help="out-of-core mode: stream --edge-list into per-shard "
-             "fragments under DIR and build from them",
-    )
-    dist_build.add_argument(
-        "--chunk-edges", type=int, default=65536,
-        help="streaming chunk size for --scatter-dir (default: %(default)s)",
-    )
-    dist_build.add_argument(
-        "--max-buffer-mb", type=int, default=8,
-        help="scatter buffer budget in MiB (default: %(default)s)",
-    )
-    dist_build.add_argument(
-        "--verify", action="store_true",
-        help="also run the single-process build and assert the trees "
-             "are identical",
-    )
-    dist_build.add_argument(
-        "-o", "--output", default=None,
-        help="write the merged tree as JSON (repro.core.serialize)",
-    )
-    dist_build.set_defaults(func=_cmd_dist_build)
 
     correlate = sub.add_parser(
         "correlate", help="GCI and outliers of two vertex measures"
@@ -1206,11 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="register a temporal evolution run at /evolve/* (windows, "
              "peak trajectories, diff tiles) and /stream/NAME over a "
              "timestamped 'src dst ts [w]' edge log (repeatable)",
-    )
-    serve.add_argument(
-        "--dist", type=_dist_arg, default="off", metavar="{auto,off,N}",
-        help="run pipelines on the sharded backend (thread-mode builds "
-             "only; shard summary appears under /stats)",
     )
     serve.add_argument(
         "--cache-disk-mb", type=int, default=None, metavar="MB",

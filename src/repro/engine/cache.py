@@ -356,9 +356,8 @@ class ArtifactCache:
         keys never change, so mtime is creation time and the oldest
         artifacts are the stalest).
 
-        Long-lived sharded runs re-key per-shard artifacts whenever a
-        shard's edges or field change, so without pruning the disk tier
-        grows without bound.  Returns ``{"removed", "bytes"}`` — how
+        A long-lived server keeps adding artifacts, so without pruning
+        the disk tier grows without bound.  Returns ``{"removed", "bytes"}`` — how
         many entries went and how many bytes remain.  Memory-tier
         entries are untouched; a pruned artifact that is requested
         again is simply rebuilt (or re-persisted on its next put).

@@ -2,7 +2,7 @@
 
 A schedule is a ``;``-joined list of rules, one per *site*::
 
-    REPRO_FAULTS="worker_kill:1;task_delay:2,3:0.05;fragment_corrupt:1"
+    REPRO_FAULTS="worker_kill:1;task_delay:2,3:0.05;cache_corrupt:1"
 
 Each rule is ``site:occurrences[:param]``:
 
@@ -20,9 +20,6 @@ Sites wired through the codebase:
 ``task_fail``           a pool job raises :class:`InjectedFault`
 ``task_delay``          a pool job sleeps ``param`` seconds first
 ``stage_fail``          a pipeline stage build raises before running
-``fragment_corrupt``    ``scatter_edge_list`` flips a byte in a shard
-                        fragment after writing it
-``fragment_truncate``   ...or truncates the fragment instead
 ``cache_corrupt``       ArtifactCache truncates a disk envelope it just
                         wrote
 ``compile_fail``        the native-kernel compile aborts (soft fallback)
@@ -68,8 +65,6 @@ SITES = (
     "task_fail",
     "task_delay",
     "stage_fail",
-    "fragment_corrupt",
-    "fragment_truncate",
     "cache_corrupt",
     "compile_fail",
 )
@@ -276,7 +271,7 @@ def _worker_suicide() -> None:  # pragma: no cover - dies by design
 
 
 # ----------------------------------------------------------------------
-# File corruption (shard fragments, cache envelopes)
+# File corruption (cache envelopes)
 # ----------------------------------------------------------------------
 def corrupt_file(path: os.PathLike, mode: str = "corrupt") -> bool:
     """Flip the last byte (``corrupt``) or drop the back half

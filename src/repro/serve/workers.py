@@ -28,14 +28,12 @@ import asyncio
 import contextvars
 import json
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import (
     BrokenExecutor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
@@ -191,7 +189,7 @@ class StageRunner:
         # Thread mode: run the job inside a copy of the caller's
         # context so repro.obs span parenting survives the hop
         # onto the pool thread (a Context is not picklable, so
-        # process mode can't do this — see obs.trace.traced_job).
+        # process mode can't do this).
         ctx = contextvars.copy_context()
         return loop.run_in_executor(
             self.thread_executor, ctx.run, job_fn, *job_args
@@ -302,100 +300,6 @@ class StageRunner:
             self._inflight.pop(key, None)
             if self.gate is not None:
                 self.gate.release()
-
-    def map_sync(
-        self,
-        fn,
-        args_list: List[tuple],
-        timeout: Optional[float] = None,
-    ) -> List:
-        """Run ``fn(*args)`` for every tuple in ``args_list`` on the
-        pool, synchronously, preserving input order.
-
-        The blocking counterpart of :meth:`run` for fan-out jobs that
-        are *parts* of one computation rather than independently keyed
-        artifacts — e.g. :func:`repro.accel.traverse.shard_sources`
-        splitting a multi-source centrality's source list into chunks.
-        In process mode ``fn`` must be a picklable module-level
-        function, exactly like the build jobs below.
-
-        Failed jobs (transient faults, a broken process pool) are
-        **resubmitted individually** with backoff — completed shards are
-        never recomputed — until the retry budget or the optional
-        ``timeout`` budget runs out.
-        """
-        deadline = Deadline(timeout) if timeout is not None else None
-        results: List = [None] * len(args_list)
-        pending = list(range(len(args_list)))
-        failures = 0
-        last_exc: Optional[BaseException] = None
-        while True:
-            futures = {}
-            broken = False
-            for index in pending:
-                job_fn, job_args = (
-                    faults.wrap_job(fn, tuple(args_list[index]))
-                    if faults.active() else (fn, args_list[index])
-                )
-                try:
-                    if self.uses_processes:
-                        self._maybe_sacrifice_worker()
-                        futures[index] = self._executor.submit(
-                            job_fn, *job_args
-                        )
-                    else:
-                        # Propagate the caller's context (repro.obs span
-                        # parenting) onto the worker threads; a fresh
-                        # copy per job keeps the jobs' own contextvar
-                        # writes isolated from each other.
-                        futures[index] = self._executor.submit(
-                            contextvars.copy_context().run, job_fn, *job_args
-                        )
-                except BrokenExecutor as exc:
-                    broken = True
-                    last_exc = exc
-                    break
-            still = [i for i in pending if i not in futures]
-            for index, future in futures.items():
-                try:
-                    results[index] = future.result(
-                        timeout=deadline.remaining()
-                        if deadline is not None else None
-                    )
-                except FuturesTimeout:
-                    self.stats["deadline_exceeded"] += 1
-                    note_deadline("map_sync")
-                    raise DeadlineExceeded(
-                        f"map_sync exceeded {deadline.seconds:g}s budget"
-                    ) from None
-                except BrokenProcessPool as exc:
-                    broken = True
-                    last_exc = exc
-                    still.append(index)
-                except TransientFault as exc:
-                    last_exc = exc
-                    still.append(index)
-            if broken:
-                self._respawn()
-            if not still:
-                return results
-            still.sort()
-            failures += 1
-            if failures >= self.retry.max_attempts or (
-                deadline is not None and deadline.expired
-            ):
-                note_giveup("map_sync")
-                raise last_exc if last_exc is not None else BrokenExecutor(
-                    "process pool broke during submit"
-                )
-            self.stats["retries"] += len(still)
-            note_retry("map_sync")
-            pause = self.retry.delay(failures)
-            if deadline is not None:
-                pause = min(pause, deadline.remaining())
-            if pause > 0.0:
-                time.sleep(pause)
-            pending = still
 
     def resil_snapshot(self) -> Dict[str, object]:
         """Admission/breaker/retry state for ``/stats``."""

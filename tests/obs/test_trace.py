@@ -50,20 +50,6 @@ class TestNesting:
 
 
 class TestAcrossThreads:
-    def test_map_sync_thread_jobs_nest_under_caller(self, ring):
-        runner = StageRunner(workers=0)
-        try:
-            with trace.span("build") as sp:
-                runner.map_sync(_traced_leaf, [(0,), (1,), (2,)])
-                build_id = sp.span_id
-        finally:
-            runner.shutdown()
-        leaves = [r for r in ring.snapshot() if r["name"] == "leaf"]
-        assert len(leaves) == 3
-        assert all(r["parent"] == build_id for r in leaves)
-        # Each job got its own context copy: writes don't leak back.
-        assert trace.current_span_id() is None
-
     def test_run_thread_job_nests_under_caller(self, ring):
         async def go():
             runner = StageRunner(workers=0)
@@ -77,44 +63,6 @@ class TestAcrossThreads:
         request_id = asyncio.run(go())
         leaf = by_name(ring.snapshot())["leaf"]
         assert leaf["parent"] == request_id
-
-
-class TestAcrossProcesses:
-    def test_traced_job_captures_and_adopt_reparents(self, ring):
-        runner = StageRunner(workers=2)
-        try:
-            with trace.span("build") as sp:
-                parent = trace.current_span_id()
-                pairs = runner.map_sync(
-                    trace.traced_job,
-                    [
-                        (_plain_leaf, (i,), "leaf", {"i": i})
-                        for i in range(2)
-                    ],
-                )
-                for result, records in pairs:
-                    assert result == "leaf-done"
-                    adopted = trace.adopt(records, parent)
-                    assert all(
-                        r["parent"] is not None for r in adopted
-                    )
-                build_id = sp.span_id
-        finally:
-            runner.shutdown()
-        leaves = [r for r in ring.snapshot() if r["name"] == "leaf"]
-        assert len(leaves) == 2
-        assert all(r["parent"] == build_id for r in leaves)
-        # Worker pids differ from ours, and ids are pid-qualified.
-        assert all("-" in r["id"] for r in leaves)
-
-    def test_traced_job_inner_spans_keep_worker_side_parents(self):
-        result, records = trace.traced_job(
-            _leaf_with_child, (), "outer", None
-        )
-        assert result == "nested-done"
-        names = by_name(records)
-        assert names["child"]["parent"] == names["outer"]["id"]
-        assert names["outer"]["parent"] is None
 
 
 class TestAcrossAsyncio:
@@ -219,17 +167,6 @@ class TestExportFormats:
         assert set(tree) == {"count", "p50_ms", "p95_ms", "max_ms", "total_ms"}
 
 
-# -- module-level helpers (picklable for the process-pool tests) --------
 def _traced_leaf(i):
     with trace.span("leaf", i=i):
         return i * 2
-
-
-def _plain_leaf(i):
-    return "leaf-done"
-
-
-def _leaf_with_child():
-    with trace.span("child"):
-        pass
-    return "nested-done"

@@ -8,20 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core import ScalarGraph, build_vertex_tree
-from repro.dist import (
-    ShardedExecutor,
-    ShardIntegrityError,
-    load_shards,
-    partition_edges,
-    resilient_scatter,
-    scatter_edge_list,
-)
 from repro.engine import ArtifactCache, EdgeListSource, Pipeline, registry
 from repro.graph import generators
 from repro.graph.io import write_edge_list
 from repro.resil import faults
-from repro.resil.retry import InjectedFault
-from repro.serve import StageRunner
+from repro.serve import StageRunner, workers
 
 
 @pytest.fixture(scope="module")
@@ -51,51 +42,6 @@ def assert_identical(tree, reference):
     assert np.array_equal(tree.scalars, reference.scalars)
 
 
-class TestShardedBuilds:
-    def test_task_faults_heal_to_identical_tree(
-        self, graph, scalars, reference_tree, fault_spec
-    ):
-        fault_spec("task_fail:1,3;task_delay:2:0.01")
-        shards = partition_edges(graph, 3, "hash")
-        ex = ShardedExecutor(workers=0)
-        try:
-            tree = ex.build_tree(scalars, shards)
-        finally:
-            ex.shutdown()
-        assert_identical(tree, reference_tree)
-        assert ex.runner.stats["retries"] >= 1
-        assert faults.snapshot()["fired"]["task_fail"] == 2
-
-    def test_worker_kill_respawns_pool(
-        self, graph, scalars, reference_tree, fault_spec
-    ):
-        # Every pool task also sleeps a beat: the surviving worker must
-        # not race through the queue before the executor notices the
-        # kill, or no BrokenProcessPool is ever observed.
-        fault_spec("worker_kill:1;task_delay:*:0.05")
-        shards = partition_edges(graph, 4, "hash")
-        ex = ShardedExecutor(workers=2)
-        try:
-            tree = ex.build_tree(scalars, shards)
-            assert ex.runner.stats["respawns"] >= 1
-        finally:
-            ex.shutdown()
-        assert_identical(tree, reference_tree)
-
-    def test_unbounded_faults_eventually_give_up(
-        self, graph, scalars, fault_spec
-    ):
-        fault_spec("task_fail:*")
-        shards = partition_edges(graph, 2, "hash")
-        ex = ShardedExecutor(workers=0)
-        ex.runner.retry.base_delay = 0.0
-        try:
-            with pytest.raises(InjectedFault):
-                ex.build_tree(scalars, shards)
-        finally:
-            ex.shutdown()
-
-
 class TestStageRunnerChaos:
     def test_run_retries_injected_fault(self, fault_spec):
         fault_spec("task_fail:1")
@@ -109,21 +55,27 @@ class TestStageRunnerChaos:
             **runner.stats, "builds": 1, "errors": 0, "retries": 1,
         }
 
-    def test_map_sync_resubmits_only_failed_jobs(self, fault_spec):
-        fault_spec("task_fail:2")
-        runner = StageRunner()
+    def test_worker_kill_respawns_pool(self, edge_file, fault_spec):
+        # Every pool task also sleeps a beat: the build must still be
+        # running when the executor notices the kill, or no
+        # BrokenProcessPool is ever observed.
+        fault_spec("worker_kill:1;task_delay:*:0.05")
+        spec = workers.pipeline_spec(
+            {"kind": "edge_list", "path": str(edge_file)}, "degree"
+        )
+        runner = StageRunner(workers=2)
         try:
-            results = runner.map_sync(
-                _double, [(i,) for i in range(5)]
+            peaks = asyncio.run(
+                runner.run("peaks", workers.build_peaks, spec, 3)
             )
+            assert runner.stats["respawns"] >= 1
         finally:
             runner.shutdown()
-        assert results == [0, 2, 4, 6, 8]
-        assert runner.stats["retries"] == 1
-
-
-def _double(x):
-    return 2 * x
+        faults.configure(None)
+        expected = workers.peaks_as_dicts(
+            Pipeline(EdgeListSource(edge_file), "degree"), 3
+        )
+        assert peaks == expected
 
 
 class TestPipelineChaos:
@@ -151,49 +103,6 @@ class TestPipelineChaos:
         second = Pipeline(EdgeListSource(edge_file), "degree", cache=reread)
         assert np.array_equal(second.tree.parent, tree.parent)
         assert reread.stats["corrupt"] >= 1
-
-
-class TestScatterChaos:
-    def test_corrupt_fragment_quarantined_and_rescattered(
-        self, graph, edge_file, tmp_path, fault_spec
-    ):
-        fault_spec("fragment_corrupt:1")
-        out = tmp_path / "healed"
-        result, shards = resilient_scatter(
-            edge_file, 2, out, method="hash"
-        )
-        assert len(shards) == 2
-        quarantined = list(out.glob("*.quarantined"))
-        assert quarantined, "bad fragment was not quarantined"
-        # The healed scatter is byte-identical to a clean one.
-        clean = scatter_edge_list(
-            edge_file, 2, tmp_path / "clean", method="hash"
-        ).load()
-        for healed, good in zip(shards, clean):
-            assert np.array_equal(healed.edges, good.edges)
-
-    def test_truncated_fragment_quarantined(
-        self, edge_file, tmp_path, fault_spec
-    ):
-        fault_spec("fragment_truncate:1:1")  # param 1 -> shard 1
-        out = tmp_path / "trunc"
-        result, shards = resilient_scatter(
-            edge_file, 2, out, method="hash"
-        )
-        assert len(shards) == 2
-        assert any(
-            "shard_0001" in path.name for path in out.glob("*.quarantined")
-        )
-
-    def test_unbounded_corruption_raises_integrity_error(
-        self, edge_file, tmp_path, fault_spec
-    ):
-        fault_spec("fragment_corrupt:*")
-        with pytest.raises(ShardIntegrityError):
-            resilient_scatter(
-                edge_file, 2, tmp_path / "doomed", method="hash",
-                max_attempts=2,
-            )
 
 
 class TestNativeCompileChaos:

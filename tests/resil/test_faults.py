@@ -34,10 +34,10 @@ class TestParsing:
 
     def test_param_and_multiple_rules(self):
         schedule = FaultSchedule.parse(
-            "task_delay:1:0.25; fragment_corrupt:2"
+            "task_delay:1:0.25; cache_corrupt:2"
         )
         assert schedule.rules["task_delay"].param == 0.25
-        assert schedule.rules["fragment_corrupt"].param is None
+        assert schedule.rules["cache_corrupt"].param is None
         assert len(schedule.rules) == 2
 
     def test_rejects_unknown_site(self):

@@ -2,11 +2,15 @@
 
 import http.client
 import json
+import socket
+import threading
 
 import numpy as np
 import pytest
 
 from repro.engine import Pipeline
+from repro.obs import metrics as obs_metrics
+from repro.serve import ServeApp, ServerThread
 from repro.serve.workers import source_from_spec
 from repro.terrain.heightfield import Tile
 
@@ -238,3 +242,51 @@ class TestPayloadMemoBound:
             app._payload_put(f"k{i}", (b"x" * 1024, f'"{i}"'))
         assert len(app._payloads) == 50
         app.runner.shutdown()
+
+
+def _responses(status):
+    return obs_metrics.REGISTRY.counter(
+        "repro_http_responses_total", "", ("status",)
+    ).value(status=status)
+
+
+class TestBadRequests:
+    def test_negative_content_length_is_400(self, server, client):
+        before = _responses("400")
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(
+                b"POST /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: -5\r\n\r\n"
+            )
+            raw = b""
+            while chunk := sock.recv(4096):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == "bad Content-Length"
+        assert _responses("400") == before + 1
+        # The connection task ended cleanly: the server still serves.
+        status, _, _ = client.get("/healthz")
+        assert status == 200
+
+
+def _sampler_threads():
+    return {
+        t for t in threading.enumerate()
+        if t.name in ("repro-prof-cont", "repro-dash-sampler")
+    }
+
+
+class TestLifecycle:
+    def test_samplers_stop_with_the_server(self, edge_list_file):
+        before = _sampler_threads()
+        app = ServeApp(tile_size=16, levels=2)
+        app.add_dataset("toy", ["kcore"], edge_list=edge_list_file)
+        with ServerThread(app) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port)
+            conn.request("GET", "/dash")
+            assert conn.getresponse().status == 200
+            conn.close()
+            started = _sampler_threads() - before
+            assert len(started) == 2
+        assert not any(t.is_alive() for t in started)

@@ -110,6 +110,9 @@ class _StubApp:
     def router(self):
         return self._router
 
+    def close(self):
+        self.runner.shutdown()
+
 
 class TestHTTPStatusMapping:
     @pytest.fixture
