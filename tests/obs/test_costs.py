@@ -1,148 +1,46 @@
-"""The measured-cost ledger: EWMA folding, persistence, host-mismatch
-reset, size-bucket scaling, and environment resolution."""
+"""Where measured state is keyed and kept: the host fingerprint that
+stamps bench ledgers (``scripts/bench_all.py``) so timings from
+different machines are never compared, and the cache-directory
+resolution that decides whether built artifacts persist."""
 
-import json
+import argparse
+import importlib.util
+from pathlib import Path
 
-import pytest
+from repro import cli
+from repro.engine import ArtifactCache
 
-from repro.obs import costs
-from repro.obs.costs import CostLedger, host_fingerprint, size_bucket
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_all",
+    Path(__file__).resolve().parents[2] / "scripts" / "bench_all.py",
+)
+bench_all = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_all)
 
 
 class TestHostFingerprint:
     def test_shape_and_stability(self):
-        fp = host_fingerprint()
+        fp = bench_all.host_fingerprint()
         assert {"cpus", "platform", "machine", "python", "compiler"} <= set(fp)
-        assert fp == host_fingerprint()  # cached
+        assert fp == bench_all.host_fingerprint()
         assert fp["cpus"] >= 1
-
-
-class TestSizeBucket:
-    def test_powers_of_two(self):
-        assert size_bucket(0) == 0
-        assert size_bucket(1) == 1
-        assert size_bucket(1024) == 11
-        assert size_bucket(1025) == 11
-        assert size_bucket(2048) == 12
-
-
-class TestEwma:
-    def test_first_record_seeds_then_folds(self):
-        ledger = CostLedger(None, alpha=0.5)
-        ledger.record("stage.tree", 1.0, measure="kcore", size=100)
-        assert ledger.estimate(
-            "stage.tree", measure="kcore", size=100
-        ) == pytest.approx(1.0)
-        ledger.record("stage.tree", 3.0, measure="kcore", size=100)
-        # 0.5*3 + 0.5*1
-        assert ledger.estimate(
-            "stage.tree", measure="kcore", size=100
-        ) == pytest.approx(2.0)
-        (entry,) = ledger.entries().values()
-        assert entry["count"] == 2 and entry["last_s"] == 3.0
-
-    def test_negative_seconds_ignored(self):
-        ledger = CostLedger(None)
-        ledger.record("x", -1.0)
-        assert len(ledger) == 0
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            CostLedger(None, alpha=0.0)
-        with pytest.raises(ValueError):
-            CostLedger(None, alpha=1.5)
-
-
-class TestBucketScaling:
-    def test_nearest_bucket_scales_linearly(self):
-        ledger = CostLedger(None)
-        ledger.record("stage.tree", 1.0, size=1000)  # bucket 10
-        # Query at ~4x the edges: two buckets up → 2**2 scaling.
-        est = ledger.estimate("stage.tree", size=4000)
-        assert est == pytest.approx(4.0)
-        # And scaling down.
-        assert ledger.estimate("stage.tree", size=250) == pytest.approx(0.25)
-
-    def test_exact_bucket_preferred(self):
-        ledger = CostLedger(None)
-        ledger.record("stage.tree", 1.0, size=1000)
-        ledger.record("stage.tree", 9.0, size=4000)
-        assert ledger.estimate("stage.tree", size=4000) == pytest.approx(9.0)
-
-    def test_exact_measure_shadows_wildcard(self):
-        ledger = CostLedger(None)
-        ledger.record("stage.tree", 5.0, size=1000)  # wildcard measure
-        ledger.record("stage.tree", 1.0, measure="kcore", size=1000)
-        assert ledger.estimate(
-            "stage.tree", measure="kcore", size=1000
-        ) == pytest.approx(1.0)
-        # A different measure still finds the wildcard row.
-        assert ledger.estimate(
-            "stage.tree", measure="ktruss", size=1000
-        ) == pytest.approx(5.0)
-
-    def test_unknown_stage_is_none(self):
-        assert CostLedger(None).estimate("nope") is None
-
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "costs.json"
-        ledger = CostLedger(path)
-        ledger.record("stage.tree", 0.5, measure="kcore", size=512)
-        assert path.exists()
-        reloaded = CostLedger(path)
-        assert len(reloaded) == 1
-        assert reloaded.estimate(
-            "stage.tree", measure="kcore", size=512
-        ) == pytest.approx(0.5)
-
-    def test_host_mismatch_resets(self, tmp_path):
-        path = tmp_path / "costs.json"
-        ledger = CostLedger(path)
-        ledger.record("stage.tree", 0.5, size=512)
-        payload = json.loads(path.read_text())
-        payload["host"] = dict(payload["host"], cpus=9999)
-        path.write_text(json.dumps(payload))
-        assert len(CostLedger(path)) == 0
-
-    def test_corrupt_file_starts_fresh(self, tmp_path):
-        path = tmp_path / "costs.json"
-        path.write_text("{not json")
-        ledger = CostLedger(path)
-        assert len(ledger) == 0
-        ledger.record("x", 1.0)  # and can still save over it
-        assert json.loads(path.read_text())["entries"]
-
-    def test_bytes_estimate(self):
-        ledger = CostLedger(None)
-        ledger.record("dist.serialize", 0.01, size=1000, nbytes=16000)
-        assert ledger.estimate_bytes(
-            "dist.serialize", size=1000
-        ) == pytest.approx(16000)
-        assert ledger.estimate_bytes("stage.tree", size=1000) is None
 
 
 class TestFromEnv:
     def test_explicit_path_wins(self, tmp_path, monkeypatch):
-        target = tmp_path / "explicit.json"
-        monkeypatch.setenv("REPRO_COST_LEDGER", str(target))
+        target = tmp_path / "explicit"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert CostLedger.from_env().path == target
+        cache = cli._cache(argparse.Namespace(cache_dir=str(target)))
+        assert cache.directory == target
 
     def test_cache_dir_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_COST_LEDGER", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert CostLedger.from_env().path == tmp_path / "costs.json"
+        assert ArtifactCache.from_env().directory == tmp_path
+        cache = cli._cache(argparse.Namespace(cache_dir=None))
+        assert cache.directory == tmp_path
 
     def test_memory_only_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COST_LEDGER", raising=False)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert CostLedger.from_env().path is None
-
-    def test_ledger_for_caches_per_directory(self, tmp_path):
-        a = costs.ledger_for(tmp_path)
-        b = costs.ledger_for(tmp_path)
-        assert a is b
-        assert a.path == tmp_path / "costs.json"
-        assert costs.ledger_for(None) is costs.default_ledger()
+        assert ArtifactCache.from_env().directory is None
+        cache = cli._cache(argparse.Namespace(cache_dir=None))
+        assert cache.directory is None

@@ -12,6 +12,7 @@ from repro.engine import ArtifactCache, EdgeListSource, Pipeline, registry
 from repro.graph import generators
 from repro.graph.io import write_edge_list
 from repro.resil import faults
+from repro.resil.retry import InjectedFault
 from repro.serve import StageRunner, workers
 
 
@@ -55,6 +56,39 @@ class TestStageRunnerChaos:
             **runner.stats, "builds": 1, "errors": 0, "retries": 1,
         }
 
+
+def _build_tree(graph, scalars):
+    return build_vertex_tree(ScalarGraph(graph, scalars))
+
+
+def _build_shards(runner, graph, scalars, n_shards):
+    """One tree build per shard key, all in flight on ``runner`` at once."""
+    async def gather():
+        return await asyncio.gather(*(
+            runner.run(f"shard-{i}", _build_tree, graph, scalars)
+            for i in range(n_shards)
+        ))
+
+    return asyncio.run(gather())
+
+
+class TestShardedBuilds:
+    """Batches of builds fanned out as concurrent StageRunner jobs."""
+
+    def test_task_faults_heal_to_identical_tree(
+        self, graph, scalars, reference_tree, fault_spec
+    ):
+        fault_spec("task_fail:1,3;task_delay:2:0.01")
+        runner = StageRunner(workers=0)
+        try:
+            trees = _build_shards(runner, graph, scalars, 3)
+        finally:
+            runner.shutdown()
+        for tree in trees:
+            assert_identical(tree, reference_tree)
+        assert runner.stats["retries"] >= 1
+        assert faults.snapshot()["fired"]["task_fail"] == 2
+
     def test_worker_kill_respawns_pool(self, edge_file, fault_spec):
         # Every pool task also sleeps a beat: the build must still be
         # running when the executor notices the kill, or no
@@ -76,6 +110,19 @@ class TestStageRunnerChaos:
             Pipeline(EdgeListSource(edge_file), "degree"), 3
         )
         assert peaks == expected
+
+    def test_unbounded_faults_eventually_give_up(
+        self, graph, scalars, fault_spec
+    ):
+        fault_spec("task_fail:*")
+        runner = StageRunner(workers=0)
+        runner.retry.base_delay = 0.0
+        try:
+            with pytest.raises(InjectedFault):
+                _build_shards(runner, graph, scalars, 2)
+        finally:
+            runner.shutdown()
+        assert runner.stats["retries"] >= runner.retry.max_attempts - 1
 
 
 class TestPipelineChaos:
