@@ -4,10 +4,12 @@ Every hot stage of the pipeline (tree construction, traversal-based
 measures, layout relaxation, heightfield rasterization) has two
 implementations: the *naive* reference code that lives next to the
 algorithm it implements, and a numpy-vectorized *kernel* in this
-package.  The inherently sequential union-find merge scan additionally
-has a third, *native* tier: a small C implementation compiled at first
-use from embedded source and loaded with ctypes
-(:mod:`repro.accel.native`).  The contract is strict across all tiers:
+package.  The inherently sequential loops — the union-find merge scan,
+triangle supports and the k-truss peel — additionally have a *native*
+tier: small C implementations compiled at first use from embedded
+source and loaded with ctypes (:mod:`repro.accel.native`).  Triangle
+supports and k-truss have no vector kernel; without the native tier
+they run the naive peel.  The contract is strict across all tiers:
 for any input, every backend produces the **same arrays** — identical
 ``parent`` pointers, identical integer measure vectors, identical
 layouts and heightfields (float centrality accumulations agree to
@@ -25,8 +27,8 @@ Backend selection is a process-global setting:
   dispatch overhead);
 * ``naive`` — always the pure-Python reference path;
 * ``vector`` — always the numpy kernels;
-* ``native`` — the compiled C merge-scan kernels where they exist,
-  the vector kernels everywhere else.  **Soft fallback**: when no
+* ``native`` — the compiled C kernels where they exist, the vector
+  kernels everywhere else.  **Soft fallback**: when no
   toolchain exists or compilation fails, native degrades to vector
   with one logged warning and a
   ``repro_accel_native_fallbacks_total`` increment — never an error.
@@ -143,10 +145,7 @@ def resolve(
     ``backend`` overrides the global setting when given.  ``auto``
     resolves by comparing ``size`` (the call site's natural work
     measure: edges, vertices, siblings, nodes) against the call site's
-    ``threshold``; with no size it resolves to the accelerated tier.  A
-    call site whose vector kernel does not (yet) win may pass an
-    infinite threshold: ``auto`` then stays naive while an explicit
-    backend still forces the kernel.
+    ``threshold``; with no size it resolves to the accelerated tier.
 
     ``native`` declares that the call site *has* a compiled kernel.
     Only then can ``"native"`` come back — and only when the toolchain

@@ -1,14 +1,17 @@
-"""Self-compiled C kernel tier for the union-find merge scans.
+"""Self-compiled C kernel tier for the sequential loops numpy cannot batch.
 
-The one loop PR 4's vectorization could not touch is the inherently
-sequential union-find scan at the heart of Algorithms 1 and 3
-(:func:`repro.accel.tree.merge_scan`): pointer chasing with a data
-dependence between consecutive steps.  This module compiles that loop —
-path-halving find, union by size, group-root caching, in two
-flavours — **at first use** from the embedded C source below, using
-whatever system compiler is around (``$CC``, else ``cc``/``gcc``/
-``clang``), and loads it with stdlib :mod:`ctypes`.  No build system,
-no wheels, no new dependencies.
+Two loops resist vectorization: the union-find scan at the heart of
+Algorithms 1 and 3 (:func:`repro.accel.tree.merge_scan`), pointer
+chasing with a data dependence between consecutive steps, and the
+k-truss peel (:func:`repro.measures.ktruss.truss_numbers`), where each
+removed edge lowers the supports the next removal depends on.  This
+module compiles them — the merge scan (path-halving find, union by
+size, group-root caching, in two flavours), triangle supports and a
+bin-sorted Batagelj–Zaversnik edge peel after Wang & Cheng, "Truss
+Decomposition in Massive Networks" (VLDB 2012) — **at first use** from
+the embedded C source below, using whatever system compiler is around
+(``$CC``, else ``cc``/``gcc``/``clang``), and loads them with stdlib
+:mod:`ctypes`.  No build system, no wheels, no new dependencies.
 
 Design points:
 
@@ -35,10 +38,11 @@ Design points:
   :func:`info` feeds the ``/stats`` endpoint.
 
 The kernels are semantically *identical* to their Python counterparts —
-same tie-breaks, same union-by-size swaps, same journal entry order —
-which is what lets the backend stay out of every cache key.  A tiny
-known-answer self-test runs right after each load and a poisoned cached
-``.so`` is deleted rather than trusted.
+same tie-breaks, same union-by-size swaps, same journal entry order;
+the truss peel removes edges in its own order, but truss numbers do not
+depend on peel order — which is what lets the backend stay out of every
+cache key.  A tiny known-answer self-test runs right after each load
+and a poisoned cached ``.so`` is deleted rather than trusted.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ __all__ = [
     "load",
     "merge_scan",
     "replay_scan",
+    "edge_supports",
+    "truss_numbers",
     "cache_dir",
     "info",
     "reset",
@@ -211,6 +217,113 @@ i64 repro_replay_scan(i64 n, const i64 *indptr, const i64 *indices,
         ckpt_jlen[c++] = nj;
     return nj;
 }
+
+/* repro.measures.triangles.edge_supports: triangles through each edge.
+ * slot_eid[p] is the dense edge id of CSR slot p (both directions of
+ * an edge share it); rows are sorted.  Each triangle u < v < w is
+ * found once, from u: u's neighbours are marked with the (u, w) edge
+ * id, then the w > v tail of each upper neighbour v's row is scanned
+ * for marks.  mark: length-n scratch; sup: length-m output. */
+void repro_edge_supports(i64 n, i64 m, const i64 *indptr,
+                         const i64 *indices, const i64 *slot_eid,
+                         i64 *mark, i64 *sup) {
+    i64 u, p, q;
+    for (p = 0; p < m; p++)
+        sup[p] = 0;
+    for (u = 0; u < n; u++)
+        mark[u] = -1;
+    for (u = 0; u < n; u++) {
+        for (p = indptr[u]; p < indptr[u + 1]; p++)
+            mark[indices[p]] = slot_eid[p];
+        for (p = indptr[u]; p < indptr[u + 1]; p++) {
+            i64 v = indices[p];
+            if (v <= u)
+                continue;
+            for (q = indptr[v + 1] - 1; q >= indptr[v] && indices[q] > v; q--) {
+                i64 f = mark[indices[q]];
+                if (f >= 0) {
+                    sup[slot_eid[p]]++;
+                    sup[slot_eid[q]]++;
+                    sup[f]++;
+                }
+            }
+        }
+        for (p = indptr[u]; p < indptr[u + 1]; p++)
+            mark[indices[p]] = -1;
+    }
+}
+
+/* Move edge f one support bucket down, unless it is already at the
+ * level being peeled (Batagelj-Zaversnik bucket swap). */
+static void lower(i64 f, i64 level, i64 *sup, i64 *order, i64 *pos,
+                  i64 *bin) {
+    i64 d = sup[f], pf, pw, g;
+    if (d <= level)
+        return;
+    pf = pos[f];
+    pw = bin[d];
+    g = order[pw];
+    if (g != f) {
+        order[pf] = g;
+        pos[g] = pf;
+        order[pw] = f;
+        pos[f] = pw;
+    }
+    bin[d]++;
+    sup[f]--;
+}
+
+/* repro.measures.ktruss.truss_numbers: bin-sorted edge peel (Wang &
+ * Cheng, VLDB 2012).  pairs: the m edges as (u, v) rows; sup: initial
+ * supports, consumed; truss: length-m output, -1 while an edge is
+ * alive.  Removing (u, v) lowers both other edges of every surviving
+ * triangle: u's live neighbours are marked with their edge id, v's
+ * live row is scanned for marks.  order/pos: length-m scratch (edges
+ * in support order, each edge's position); bin: length max_sup + 1
+ * scratch (bucket starts); mark: length-n scratch. */
+void repro_truss_peel(i64 n, i64 m, const i64 *indptr, const i64 *indices,
+                      const i64 *slot_eid, const i64 *pairs, i64 max_sup,
+                      i64 *sup, i64 *truss, i64 *order, i64 *pos,
+                      i64 *bin, i64 *mark) {
+    i64 i, k, e, start = 0;
+    for (k = 0; k <= max_sup; k++)
+        bin[k] = 0;
+    for (e = 0; e < m; e++) {
+        bin[sup[e]]++;
+        truss[e] = -1;
+    }
+    for (k = 0; k <= max_sup; k++) {
+        i64 count = bin[k];
+        bin[k] = start;
+        start += count;
+    }
+    for (e = 0; e < m; e++) {
+        pos[e] = bin[sup[e]]++;
+        order[pos[e]] = e;
+    }
+    for (k = max_sup; k > 0; k--)
+        bin[k] = bin[k - 1];
+    bin[0] = 0;
+    for (i = 0; i < n; i++)
+        mark[i] = -1;
+    for (i = 0; i < m; i++) {
+        i64 eid = order[i], level = sup[eid];
+        i64 u = pairs[2 * eid], v = pairs[2 * eid + 1], p;
+        truss[eid] = level;
+        for (p = indptr[u]; p < indptr[u + 1]; p++)
+            if (truss[slot_eid[p]] < 0)
+                mark[indices[p]] = slot_eid[p];
+        for (p = indptr[v]; p < indptr[v + 1]; p++) {
+            i64 f = slot_eid[p], g = mark[indices[p]];
+            if (g >= 0 && truss[f] < 0) {
+                lower(f, level, sup, order, pos, bin);
+                lower(g, level, sup, order, pos, bin);
+            }
+        }
+        for (p = indptr[u]; p < indptr[u + 1]; p++)
+            mark[indices[p]] = -1;
+    }
+}
 """
 
 
@@ -300,12 +413,18 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_merge_scan.restype = None
     lib.repro_replay_scan.argtypes = [i] + [p] * 4 + [i] + [p] * 8
     lib.repro_replay_scan.restype = i
+    lib.repro_edge_supports.argtypes = [i, i] + [p] * 5
+    lib.repro_edge_supports.restype = None
+    lib.repro_truss_peel.argtypes = [i, i] + [p] * 4 + [i] + [p] * 6
+    lib.repro_truss_peel.restype = None
     return lib
 
 
 def _self_test(lib: ctypes.CDLL) -> bool:
-    """Known-answer check: chain 0-1-2 processed as 1, 2 must yield
-    parents [1, 2, -1] — guards against a stale or corrupt cached .so."""
+    """Known-answer checks that guard against a stale or corrupt cached
+    .so: chain 0-1-2 processed as 1, 2 must yield parents [1, 2, -1];
+    a diamond 0-1-2-3 (chord 1-2) with tail 3-4 must yield supports
+    [1, 1, 2, 1, 1, 0] and truss numbers [1, 1, 1, 1, 1, 0]."""
     cur = np.array([1, 2], dtype=np.int64)
     prev = np.array([0, 1], dtype=np.int64)
     parent = np.empty(3, dtype=np.int64)
@@ -314,7 +433,21 @@ def _self_test(lib: ctypes.CDLL) -> bool:
         3, 2, _ptr(cur), _ptr(prev), _ptr(parent),
         _ptr(scratch[0]), _ptr(scratch[1]), _ptr(scratch[2]),
     )
-    return parent.tolist() == [1, 2, -1]
+    indptr = np.array([0, 2, 5, 8, 11, 12], dtype=np.int64)
+    indices = np.array(
+        [1, 2, 0, 2, 3, 0, 1, 3, 1, 2, 4, 3], dtype=np.int64
+    )
+    pairs = np.array(
+        [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [3, 4]], dtype=np.int64
+    )
+    slot_eid = _slot_edge_ids(indptr, indices, pairs)
+    support = _edge_supports(lib, indptr, indices, slot_eid, len(pairs))
+    truss = _truss_peel(lib, indptr, indices, pairs)
+    return (
+        parent.tolist() == [1, 2, -1]
+        and support.tolist() == [1, 1, 2, 1, 1, 0]
+        and truss.tolist() == [1, 1, 1, 1, 1, 0]
+    )
 
 
 def _load_impl() -> ctypes.CDLL:
@@ -500,3 +633,87 @@ def replay_scan(
         "ckpt_jlen": ckpt_jlen[: len(ckpt_pos)],
         "n_unions": int(nj),
     }
+
+
+def _slot_edge_ids(
+    indptr: np.ndarray, indices: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """Dense edge id of every CSR slot.  ``pairs`` (the ``u < v`` edge
+    rows in :meth:`~repro.graph.csr.CSRGraph.edge_array` order) is
+    row-major over sorted rows, so its ``(u, v)`` keys are sorted and
+    each slot's key is one binary search away."""
+    n = np.int64(len(indptr) - 1)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    lo = np.minimum(src, indices)
+    hi = np.maximum(src, indices)
+    return np.searchsorted(pairs[:, 0] * n + pairs[:, 1], lo * n + hi)
+
+
+def _edge_supports(
+    lib: ctypes.CDLL,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    slot_eid: np.ndarray,
+    m: int,
+) -> np.ndarray:
+    n = len(indptr) - 1
+    mark = np.empty(max(n, 1), dtype=np.int64)
+    sup = np.empty(max(m, 1), dtype=np.int64)
+    lib.repro_edge_supports(
+        n, m, _ptr(indptr), _ptr(indices), _ptr(slot_eid),
+        _ptr(mark), _ptr(sup),
+    )
+    return sup[:m]
+
+
+def _truss_peel(
+    lib: ctypes.CDLL,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    pairs: np.ndarray,
+) -> np.ndarray:
+    n = len(indptr) - 1
+    m = len(pairs)
+    slot_eid = _slot_edge_ids(indptr, indices, pairs)
+    sup = _edge_supports(lib, indptr, indices, slot_eid, m)
+    max_sup = int(sup.max()) if m else 0
+    truss = np.empty(max(m, 1), dtype=np.int64)
+    order = np.empty(max(m, 1), dtype=np.int64)
+    pos = np.empty(max(m, 1), dtype=np.int64)
+    bin_ = np.empty(max_sup + 1, dtype=np.int64)
+    mark = np.empty(max(n, 1), dtype=np.int64)
+    lib.repro_truss_peel(
+        n, m, _ptr(indptr), _ptr(indices), _ptr(slot_eid), _ptr(pairs),
+        max_sup, _ptr(sup), _ptr(truss), _ptr(order), _ptr(pos),
+        _ptr(bin_), _ptr(mark),
+    )
+    return truss[:m]
+
+
+def edge_supports(
+    indptr: np.ndarray, indices: np.ndarray, pairs: np.ndarray
+) -> Optional[np.ndarray]:
+    """Native :func:`repro.measures.triangles.edge_supports` over a
+    simple graph's sorted CSR and its ``edge_array()`` rows; None when
+    unavailable."""
+    lib = load()
+    if lib is None:
+        return None
+    indptr = _as_i64(indptr)
+    indices = _as_i64(indices)
+    slot_eid = _slot_edge_ids(indptr, indices, _as_i64(pairs))
+    return _edge_supports(lib, indptr, indices, slot_eid, len(pairs))
+
+
+def truss_numbers(
+    indptr: np.ndarray, indices: np.ndarray, pairs: np.ndarray
+) -> Optional[np.ndarray]:
+    """Native :func:`repro.measures.ktruss.truss_numbers` (supports
+    included), same inputs as :func:`edge_supports`; None when
+    unavailable."""
+    lib = load()
+    if lib is None:
+        return None
+    return _truss_peel(
+        lib, _as_i64(indptr), _as_i64(indices), _as_i64(pairs)
+    )

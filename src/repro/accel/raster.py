@@ -9,12 +9,16 @@ the naive path pays a Python iteration per leaf just to stamp a single
 cell.  The kernels here batch that work:
 
 * :func:`forest_depths` — per-node depth of a parent-pointer forest by
-  whole-level propagation (no per-node parent chasing);
-* :func:`stamp_points` — one level's sub-pixel stamps as a single
+  pointer jumping: O(n log depth), so near-chain trees (continuous
+  measures such as pagerank give trees tens of thousands of levels
+  deep) cost a few dozen vector passes, not one per level;
+* :func:`stamp_points` — a run of sub-pixel stamps as a single
   sort-and-scatter: group the stamps by target cell, pick each cell's
   winner (the stamp the naive sequential rule would leave in place:
   highest scalar, latest position among equals), and apply the
-  surviving stamps with one fancy-indexed compare-and-set.
+  surviving stamps with one fancy-indexed compare-and-set.  The rule
+  is by position, so a run may span many levels as long as no full
+  disc paints in between.
 
 Both produce exactly the arrays the naive per-node loop produces
 (``tests/accel/test_raster_equivalence.py``).
@@ -28,19 +32,28 @@ __all__ = ["forest_depths", "stamp_points"]
 
 
 def forest_depths(parent: np.ndarray) -> np.ndarray:
-    """Depth of every node of a parent-pointer forest (roots at 0)."""
+    """Depth of every node of a parent-pointer forest (roots at 0).
+
+    Pointer jumping: ``up[i]`` starts at the parent (a root points at
+    itself) and ``depth[i]`` at the hop count to ``up[i]``; each round
+    adds the hops of ``up[i]`` and jumps ``up[i]`` to ``up[up[i]]``,
+    doubling the distance covered.  ``bit_length(n)`` rounds reach the
+    root from any depth below ``n``, so after them every node of a
+    forest points at a root — and a node that does not sits on a cycle.
+    """
     parent = np.asarray(parent, dtype=np.int64)
     n = len(parent)
-    depth = np.zeros(n, dtype=np.int64)
-    known = parent < 0
-    d = 0
-    while not known.all():
-        frontier = ~known & (parent >= 0) & known[np.maximum(parent, 0)]
-        if not frontier.any():
-            raise ValueError("parent pointers contain a cycle")
-        d += 1
-        depth[frontier] = d
-        known |= frontier
+    is_root = parent < 0
+    up = np.where(is_root, np.arange(n, dtype=np.int64), parent)
+    depth = (~is_root).astype(np.int64)
+    for _ in range(n.bit_length()):
+        jumped = up[up]
+        if np.array_equal(jumped, up):
+            break
+        depth += depth[up]
+        up = jumped
+    if not is_root[up].all():
+        raise ValueError("parent pointers contain a cycle")
     return depth
 
 
@@ -52,7 +65,7 @@ def stamp_points(
     ids: np.ndarray,
     scalars: np.ndarray,
 ) -> None:
-    """Apply one level's sub-pixel stamps to ``height``/``node`` in place.
+    """Apply a run of sub-pixel stamps to ``height``/``node`` in place.
 
     ``rows[p], cols[p]`` is stamp ``p``'s grid cell, ``ids[p]`` the node
     id to record and ``scalars[p]`` its height.  Sequential semantics

@@ -38,6 +38,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..obs import trace as obs_trace
+
 __all__ = [
     "MeasureSpec",
     "register_measure",
@@ -145,10 +147,14 @@ def get_measure(name: str) -> MeasureSpec:
     """Resolve ``name`` to its :class:`MeasureSpec` (lazy-importing
     the implementing module for built-ins)."""
     if name not in _REGISTRY and name in _LAZY:
-        import_module(_LAZY[name][0])
+        module = _LAZY[name][0]
+        # First use of a built-in pays its module import; traced so a
+        # run's stage spans plus this one account for its wall time.
+        with obs_trace.span("measures.import", module=module):
+            import_module(module)
         if name not in _REGISTRY:  # pragma: no cover - registration bug
             raise RuntimeError(
-                f"{_LAZY[name][0]} did not register measure {name!r}"
+                f"{module} did not register measure {name!r}"
             )
     if name not in _REGISTRY:
         raise KeyError(

@@ -7,8 +7,12 @@ and as role-extraction features.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
+from .. import accel
+from ..accel import native
 from ..graph.csr import CSRGraph
 from ..engine.registry import edge_measure, vertex_measure
 
@@ -21,13 +25,18 @@ __all__ = [
 ]
 
 
-def edge_supports(graph: CSRGraph) -> np.ndarray:
+def edge_supports(graph: CSRGraph, backend: Optional[str] = None) -> np.ndarray:
     """Number of triangles through each edge (dense edge-id order).
 
     ``support(u, v) = |N(u) ∩ N(v)|``, computed by merging the two
-    sorted neighbour lists.
+    sorted neighbour lists — or, on the native tier
+    (:func:`repro.accel.native.edge_supports`), by marking each
+    triangle once from its smallest vertex.  Both count the same
+    triangles.
     """
     pairs = graph.edge_array()
+    if accel.resolve(backend, size=graph.n_edges, native=True) == "native":
+        return native.edge_supports(graph.indptr, graph.indices, pairs)
     supports = np.zeros(len(pairs), dtype=np.int64)
     for eid, (u, v) in enumerate(pairs):
         a = graph.neighbors(int(u))

@@ -83,6 +83,12 @@ _request_ids = itertools.count(1)
 _M_RESPONSES = obs_metrics.REGISTRY.counter(
     "repro_http_responses_total", "HTTP responses by status code.", ("status",)
 )
+_M_ABORTED = obs_metrics.REGISTRY.counter(
+    "repro_http_aborted_total",
+    "Truncated requests (peer EOF before a complete request) closed "
+    "unanswered, by the part cut short.",
+    ("reason",),
+)
 _M_REQUEST_SECONDS = obs_metrics.REGISTRY.histogram(
     "repro_http_request_seconds", "HTTP request handling latency."
 )
@@ -285,10 +291,22 @@ class Router:
         raise HTTPError(404, f"no route for {path}")
 
 
-async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Parse one request; ``None`` when the peer closed the connection.
+class _TruncatedRequest(Exception):
+    """The peer hit EOF inside a request: before the blank line ending
+    the head (``reason="head"``) or before the ``Content-Length`` body
+    bytes (``reason="body"``).  Nothing is served for it."""
 
-    Raises :class:`HTTPError` (400/413) on malformed input.
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"request truncated in the {reason}")
+        self.reason = reason
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+    """Parse one request; ``None`` when the peer closed the connection
+    between requests.
+
+    Raises :class:`HTTPError` (400/413) on malformed input and
+    :class:`_TruncatedRequest` when the peer closes mid-request.
     """
     try:
         line = await reader.readline()
@@ -296,6 +314,8 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         raise HTTPError(400, "request line too long")
     if not line:
         return None
+    if not line.endswith(b"\n"):
+        raise _TruncatedRequest("head")
     parts = line.decode("latin-1", "replace").split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise HTTPError(400, "malformed request line")
@@ -306,8 +326,10 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
             raw = await reader.readline()
         except (asyncio.LimitOverrunError, ValueError):
             raise HTTPError(400, "header line too long")
-        if raw in (b"\r\n", b"\n", b""):
+        if raw in (b"\r\n", b"\n"):
             break
+        if not raw.endswith(b"\n"):
+            raise _TruncatedRequest("head")
         name, sep, value = raw.decode("latin-1", "replace").partition(":")
         if not sep:
             raise HTTPError(400, "malformed header line")
@@ -329,7 +351,10 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         if length > _MAX_BODY:
             raise HTTPError(413, "request body too large")
         if length:
-            body = await reader.readexactly(length)
+            try:
+                body = await reader.readexactly(length)
+            except asyncio.IncompleteReadError:
+                raise _TruncatedRequest("body")
     path, _, qs = target.partition("?")
     query = dict(parse_qsl(qs, keep_blank_values=True))
     return Request(method.upper(), unquote(path) or "/", query, headers, body)
@@ -614,6 +639,9 @@ class HTTPServer:
                     )
                     await writer.drain()
                     break
+                except _TruncatedRequest as exc:
+                    _M_ABORTED.inc(reason=exc.reason)
+                    break
                 if request is None:
                     break
                 self._active_requests += 1
@@ -676,11 +704,7 @@ class HTTPServer:
                 await writer.drain()
                 if request.headers.get("connection", "").lower() == "close":
                     break
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
+        except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             self._connections.discard(writer)

@@ -291,9 +291,10 @@ def rasterize(
     level's sub-pixel discs stamp their nearest cell (conditioned on
     the standing height, so tiny leaves register without burying a
     taller stamp).  O(nodes × disc pixels), vectorised per disc; the
-    vector backend (:mod:`repro.accel.raster`) additionally batches a
-    level's sub-pixel stamps — typically the *bulk* of a real tree's
-    nodes — into one sort-and-scatter.  Both backends produce
+    vector backend (:mod:`repro.accel.raster`) additionally batches
+    every run of sub-pixel stamps between two full discs — typically
+    the *bulk* of a real tree's nodes, and whole chains of levels in a
+    deep tree — into one sort-and-scatter.  Both backends produce
     byte-identical grids.
     """
     if resolution < 4:
@@ -315,8 +316,7 @@ def rasterize(
 
     # Canonical paint order: by depth, then node id.
     depth = forest_depths(tree.parent)
-    order = np.lexsort((np.arange(tree.n_nodes), depth))
-    level_starts = np.searchsorted(depth[order], np.arange(depth.max() + 2))
+    ids = np.arange(tree.n_nodes)
 
     chosen = accel.resolve(
         backend, size=tree.n_nodes, threshold=_VECTOR_MIN_NODES
@@ -332,22 +332,34 @@ def rasterize(
         # exactly like the naive int()+clip.
         t_i = np.clip(((cys - ymin) / span_y * res).astype(np.int64), 0, res - 1)
         t_j = np.clip(((cxs - xmin) / span_x * res).astype(np.int64), 0, res - 1)
-        for lo, hi in zip(level_starts[:-1], level_starts[1:]):
-            nodes = order[lo:hi]
-            for nid in nodes[~tiny[nodes]].tolist():
-                _paint_disc(
-                    height, node, xs, ys, cxs[nid], cys[nid],
-                    int(j_lo[nid]), int(j_hi[nid]),
-                    int(i_lo[nid]), int(i_hi[nid]),
-                    rs[nid], scalars[nid], nid,
-                )
-            points = nodes[tiny[nodes]]
+        # Level-major with each level's full discs first: the canonical
+        # order as one sequence.  The stamps between two full discs form
+        # one run, however many levels it spans, and stamp_points
+        # applies a run exactly as the sequential rule would.
+        order = np.lexsort((ids, tiny, depth))
+        start = 0
+        for at in np.flatnonzero(~tiny[order]).tolist():
+            points = order[start:at]
             stamp_points(
                 height, node, t_i[points], t_j[points], points,
                 scalars[points],
             )
+            nid = int(order[at])
+            _paint_disc(
+                height, node, xs, ys, cxs[nid], cys[nid],
+                int(j_lo[nid]), int(j_hi[nid]),
+                int(i_lo[nid]), int(i_hi[nid]),
+                rs[nid], scalars[nid], nid,
+            )
+            start = at + 1
+        points = order[start:]
+        stamp_points(
+            height, node, t_i[points], t_j[points], points, scalars[points]
+        )
         return Heightfield(height, node, layout.extent, base)
 
+    order = np.lexsort((ids, depth))
+    level_starts = np.searchsorted(depth[order], np.arange(depth.max() + 2))
     for lo, hi in zip(level_starts[:-1], level_starts[1:]):
         deferred = []
         for nid in order[lo:hi].tolist():

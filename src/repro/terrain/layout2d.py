@@ -109,7 +109,7 @@ def _place_children(
     relax_iters: int,
     backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Place child discs inside a parent disc.
+    """Place two or more child discs inside a parent disc.
 
     Child areas are proportional to their subtree weight *relative to
     the parent's* (the paper's area rule) — so a chain of single-member
@@ -122,14 +122,6 @@ def _place_children(
     k = len(weights)
     available = radius * inner
     parent_weight = max(parent_weight, float(weights.sum()), 1e-9)
-    if k == 1:
-        # Area-proportional, capped only to keep a hairline wall visible.
-        ratio = math.sqrt(float(weights[0]) / parent_weight)
-        return (
-            np.array([cx]),
-            np.array([cy]),
-            np.array([min(ratio, 0.985) * radius]),
-        )
     total = float(weights.sum())
     radii = radius * np.sqrt(weights / parent_weight)
     # Joint-fit guard: shrink if the siblings cannot possibly pack.
@@ -264,6 +256,18 @@ def layout_tree(
         node = stack.pop()
         kids = tree.children(node)
         if not kids:
+            continue
+        if len(kids) == 1:
+            # Chain link (most nodes of a deep tree): concentric, area-
+            # proportional, capped only to keep a hairline wall visible.
+            kid = kids[0]
+            weight = float(weights[kid])
+            ratio = math.sqrt(weight / max(weights[node], weight, 1e-9))
+            radius = float(r[node])
+            cx[kid] = cx[node]
+            cy[kid] = cy[node]
+            r[kid] = max(min(ratio, 0.985) * radius, leaf_radius * radius)
+            stack.append(kid)
             continue
         kid_weights = weights[kids]
         xs, ys, radii = _place_children(

@@ -9,9 +9,13 @@ K-core and k-truss are integer vectors and must match exactly.
 import asyncio
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from repro import accel
+from repro.accel import native
 from repro.measures import core_numbers, truss_numbers
+from repro.measures.triangles import edge_supports
 from repro.measures.centrality import (
     _bfs_distances,
     betweenness_centrality,
@@ -77,8 +81,34 @@ def test_core_numbers_identical(graph):
 @given(graphs())
 def test_truss_numbers_identical(graph):
     naive = truss_numbers(graph, backend="naive")
-    vector = truss_numbers(graph, backend="vector")
-    assert np.array_equal(naive, vector)
+    for backend in ("vector", "native"):
+        assert np.array_equal(naive, truss_numbers(graph, backend=backend))
+
+
+@pytest.mark.skipif(
+    not native.available(), reason="native tier unavailable (no C compiler)"
+)
+@settings(max_examples=40, deadline=None)
+@given(graphs())
+def test_edge_supports_native_identical(graph):
+    naive = edge_supports(graph, backend="naive")
+    assert np.array_equal(naive, edge_supports(graph, backend="native"))
+
+
+def test_auto_without_native_runs_dict_peel(monkeypatch):
+    from repro.graph.generators import powerlaw_cluster
+
+    graph = powerlaw_cluster(200, 3, 0.6, seed=5)
+    expected = truss_numbers(graph, backend="naive")
+
+    def refuse(*args):
+        raise AssertionError("native kernel called while unavailable")
+
+    monkeypatch.setattr(native, "available", lambda: False)
+    monkeypatch.setattr(native, "truss_numbers", refuse)
+    monkeypatch.setattr(native, "edge_supports", refuse)
+    with accel.using("auto"):
+        assert np.array_equal(truss_numbers(graph), expected)
 
 
 @settings(max_examples=15, deadline=None)

@@ -3,6 +3,10 @@ the serve surfaces (/metrics, /stats spans, X-Request-Id, error logs)."""
 
 import http.client
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +164,37 @@ class TestPipelineSpans:
         assert cache.stats["misses"] == cache.stats["puts"]
 
 
+class TestTraceCoverage:
+    def test_terrain_spans_cover_the_cli_span(self, tmp_path):
+        """A traced ``repro terrain`` run on a deep (pagerank) tree
+        leaves under 5% of ``cli.terrain`` outside its child spans, so
+        the per-stage split accounts for where the time went."""
+        trace_path = tmp_path / "trace.jsonl"
+        env = dict(os.environ)
+        env.pop("REPRO_CACHE_DIR", None)
+        env.pop("REPRO_TRACE", None)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p
+        )
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro", "terrain",
+                "--dataset", "grqc", "--measure", "pagerank",
+                "--trace", str(trace_path),
+                "--output", str(tmp_path / "terrain.png"),
+            ],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        (root,) = [r for r in records if r["name"] == "cli.terrain"]
+        children = [r for r in records if r["parent"] == root["id"]]
+        covered = sum(r["dur_us"] for r in children) / root["dur_us"]
+        assert covered >= 0.95, sorted(
+            (r["name"], round(r["dur_us"] / 1e3, 1)) for r in children
+        )
+
+
 class TestServeSurfaces:
     @pytest.fixture
     def server(self, edge_list_file):
@@ -283,6 +318,7 @@ class TestMetricsFamilies:
             "repro_stage_build_seconds",
             "repro_stream_batches_total",
             "repro_http_responses_total",
+            "repro_http_aborted_total",
             "repro_http_request_seconds",
             "repro_sse_sessions",
             "repro_tiles_served_total",

@@ -270,6 +270,52 @@ class TestBadRequests:
         assert status == 200
 
 
+def _aborted(reason):
+    return obs_metrics.REGISTRY.counter(
+        "repro_http_aborted_total", "", ("reason",)
+    ).value(reason=reason)
+
+
+class TestTruncatedRequests:
+    """A peer that half-closes mid-request gets no response: the server
+    counts the abort, closes the connection and keeps serving."""
+
+    def _send_and_shut(self, port, raw):
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+            received = b""
+            while chunk := sock.recv(4096):
+                received += chunk
+        return received
+
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            (b"GET /healthz HTTP/1.1\r\nHost: x", "head"),
+            (b"GET /healthz HTTP/1.1\r\nHost: x\r\n", "head"),
+            (
+                b"POST /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 50\r\n\r\nabc",
+                "body",
+            ),
+        ],
+        ids=["header-line", "no-blank-line", "short-body"],
+    )
+    def test_truncated_request_is_not_served(self, server, client, raw, reason):
+        before = _aborted(reason)
+        responses = sum(
+            _responses(code) for code in ("200", "400", "404", "405")
+        )
+        assert self._send_and_shut(server.port, raw) == b""
+        assert _aborted(reason) == before + 1
+        assert sum(
+            _responses(code) for code in ("200", "400", "404", "405")
+        ) == responses
+        status, _, _ = client.get("/healthz")
+        assert status == 200
+
+
 def _sampler_threads():
     return {
         t for t in threading.enumerate()

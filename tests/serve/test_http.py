@@ -10,6 +10,7 @@ from repro.serve.http import (
     Response,
     Router,
     _read_request,
+    _TruncatedRequest,
 )
 
 
@@ -52,6 +53,20 @@ class TestParsing:
 
     def test_closed_connection_is_none(self):
         assert parse(b"") is None
+
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            (b"GET / HTTP/1.1", "head"),
+            (b"GET / HTTP/1.1\r\nHost: x", "head"),
+            (b"GET / HTTP/1.1\r\nHost: x\r\n", "head"),
+            (b"POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc", "body"),
+        ],
+    )
+    def test_eof_mid_request_is_truncated(self, raw, reason):
+        with pytest.raises(_TruncatedRequest) as exc:
+            parse(raw)
+        assert exc.value.reason == reason
 
     def test_malformed_request_line(self):
         with pytest.raises(HTTPError) as exc:
